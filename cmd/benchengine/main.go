@@ -1,13 +1,14 @@
 // Command benchengine emits BENCH_engine.json: the fixed reference
 // batch (whiteboard vs sweep, 200 trials each on PlantedMinDegree
 // (1024, 181), batch seed 7) that gives later changes a perf
-// trajectory to compare against. Each batch is timed four ways — the
-// lockstep lane path (the engine default) in parallel and serially,
-// the legacy one-trial-at-a-time stepper path serially, and the
-// goroutine-backed Program path serially — and the aggregates of every
-// run are checked byte-identical before anything is written. The aggregates are
-// deterministic; only the *_elapsed_ms fields vary between machines
-// and runs.
+// trajectory to compare against. Each batch is timed four ways on the
+// engine's one scheduler, the lockstep lane — the automatic lane width
+// in parallel and serially, a width-1 lane serially, and the
+// strategy's Program form (ForceProgramPath, each program on a
+// coroutine inside the lane) serially — and the aggregates of every
+// run are checked byte-identical before anything is written. The
+// aggregates are deterministic; only the *_elapsed_ms fields vary
+// between machines and runs.
 //
 // In addition to the reference batch the report carries a large
 // scaling preset (default PlantedMinDegree(65536, 256), 20 whiteboard
@@ -79,24 +80,25 @@ type batchReport struct {
 	TrialsPerSec float64 `json:"trials_per_sec"`
 	// LaneWidth is the lockstep lane width of the timed runs.
 	LaneWidth int `json:"lane_width"`
-	// SerialElapsedMS is wall-clock for the goroutine-backed Program
-	// path at one worker — the classic path, kept as the baseline the
-	// stepper path is measured against.
+	// SerialElapsedMS is wall-clock for the strategy's Program form
+	// on the coroutine (ForceProgramPath) at the automatic lane width
+	// and one worker — the direct-style reference the native stepper
+	// form is measured against.
 	SerialElapsedMS int64 `json:"serial_elapsed_ms"`
-	// StepperElapsedMS is wall-clock for the legacy one-trial-at-a-
-	// time stepper path (LaneWidth -1) at one worker — the PR 5 fast
-	// path, kept timed so the lockstep gain stays visible.
-	StepperElapsedMS int64 `json:"stepper_elapsed_ms"`
-	// LockstepElapsedMS is wall-clock for the lockstep lane path at
+	// Width1ElapsedMS is wall-clock for a width-1 lane (LaneWidth 1)
+	// at one worker: one trial resident at a time, the baseline the
+	// automatic width must not lose to.
+	Width1ElapsedMS int64 `json:"width1_elapsed_ms"`
+	// LockstepElapsedMS is wall-clock for the automatic lane width at
 	// one worker.
 	LockstepElapsedMS int64 `json:"lockstep_elapsed_ms"`
-	// StepperSpeedup is SerialElapsedMS / StepperElapsedMS: how much
-	// the goroutine-free path gains over the goroutine path, serial
-	// against serial.
+	// StepperSpeedup is SerialElapsedMS / LockstepElapsedMS: how much
+	// the native stepper form gains over the Program form, same lane
+	// width, serial against serial.
 	StepperSpeedup float64 `json:"stepper_speedup"`
-	// LockstepSpeedup is StepperElapsedMS / LockstepElapsedMS: what
-	// batch-resident lockstep execution gains over running the same
-	// steppers one trial at a time, serial against serial.
+	// LockstepSpeedup is Width1ElapsedMS / LockstepElapsedMS: what the
+	// automatic lane width gains over a width-1 lane, serial against
+	// serial.
 	LockstepSpeedup float64 `json:"lockstep_speedup"`
 	// NativeSetupElapsedMS and CoroutineSetupElapsedMS time the pure
 	// per-trial stepper setup cost over setup-cycles build+Init+Finish
@@ -111,11 +113,11 @@ type batchReport struct {
 	SetupSpeedup float64 `json:"setup_speedup"`
 }
 
-// largeBatchReport times one large-preset batch: the stepper fast
-// path in parallel and serially. The goroutine-backed Program path is
-// not re-timed at this scale — the reference batches above already
-// track that ratio, and the differential suite proves the paths
-// byte-identical.
+// largeBatchReport times one large-preset batch: the automatic lane
+// width in parallel and serially, and a width-1 lane serially. The
+// Program form is not re-timed at this scale — the reference batches
+// above already track that ratio, and the differential suite proves
+// the forms byte-identical.
 type largeBatchReport struct {
 	Aggregate *fnr.Aggregate `json:"aggregate"`
 	// ElapsedMS is wall-clock for the lockstep lane path (the engine
@@ -125,10 +127,10 @@ type largeBatchReport struct {
 	TrialsPerSec float64 `json:"trials_per_sec"`
 	// LaneWidth is the lockstep lane width of the timed runs.
 	LaneWidth int `json:"lane_width"`
-	// StepperElapsedMS is wall-clock for the legacy per-trial stepper
-	// path at one worker; LockstepElapsedMS for the lane path at one
-	// worker; LockstepSpeedup their ratio (as in batchReport).
-	StepperElapsedMS  int64   `json:"stepper_elapsed_ms"`
+	// Width1ElapsedMS is wall-clock for a width-1 lane at one worker;
+	// LockstepElapsedMS for the automatic width at one worker;
+	// LockstepSpeedup their ratio (as in batchReport).
+	Width1ElapsedMS   int64   `json:"width1_elapsed_ms"`
 	LockstepElapsedMS int64   `json:"lockstep_elapsed_ms"`
 	LockstepSpeedup   float64 `json:"lockstep_speedup"`
 	// Setup costs, as in batchReport.
@@ -419,8 +421,8 @@ func timedRun(b fnr.Batch) (*fnr.Aggregate, int64) {
 }
 
 // timedRunBest is timedRun keeping the fastest of reps runs. The
-// serial-path timings exist to support ratio claims (lockstep vs
-// per-trial vs goroutine), and on a shared host a single GC cycle or
+// serial timings exist to support ratio claims (automatic width vs
+// width 1 vs Program form), and on a shared host a single GC cycle or
 // noisy-neighbor stall would otherwise decide a ratio one run paid
 // and the other did not.
 func timedRunBest(b fnr.Batch, reps int) (*fnr.Aggregate, int64) {
@@ -672,7 +674,7 @@ func main() {
 		wakeDelays     = flag.String("wake-delays", "0,16,256", "comma-separated wake delays τ for the scenario sweep")
 
 		shard           = flag.String("shard", "", "run batch shard i of k, format i/k (trial seeds stay global; merge reducers across shards)")
-		assertLockstep  = flag.Bool("assert-lockstep", false, "fail if the lockstep lane path is slower than the per-trial stepper path on any preset (CI smoke)")
+		assertLockstep  = flag.Bool("assert-lockstep", false, "fail if the automatic lane width is more than 25% (+2ms) slower than a width-1 lane on any preset (CI smoke)")
 		mega            = flag.Bool("mega", true, "also run the 10M-trial streaming-aggregation preset")
 		megaTrials      = flag.Int("mega-trials", 10_000_000, "streaming preset trials")
 		megaN           = flag.Int("mega-n", 64, "streaming preset graph size")
@@ -741,27 +743,27 @@ func main() {
 			ShardIndex: shardIndex,
 			ShardCount: shardCount,
 		}
-		// Lockstep lane path (the engine default), configured workers.
+		// Automatic lane width (the engine default), configured workers.
 		agg, elapsed := timedRun(batch)
 
-		// Lockstep lane path, serial.
+		// Automatic lane width, serial.
 		batch.Workers = 1
 		lockAgg, lockElapsed := timedRunBest(batch, 3)
 
-		// Legacy one-trial-at-a-time stepper path, serial.
-		batch.LaneWidth = -1
-		stepperAgg, stepperElapsed := timedRunBest(batch, 3)
+		// Width-1 lane, serial.
+		batch.LaneWidth = 1
+		width1Agg, width1Elapsed := timedRunBest(batch, 3)
 
-		// Goroutine-backed Program path, serial.
+		// Program form on the coroutine, automatic width, serial.
 		batch.LaneWidth = 0
 		batch.ForceProgramPath = true
 		serialAgg, serialElapsed := timedRunBest(batch, 3)
 
-		if !serialAgg.Equal(agg) || !stepperAgg.Equal(agg) || !lockAgg.Equal(agg) {
-			log.Fatalf("%s: aggregates differ across paths/workers — engine determinism broken", name)
+		if !serialAgg.Equal(agg) || !width1Agg.Equal(agg) || !lockAgg.Equal(agg) {
+			log.Fatalf("%s: aggregates differ across forms/widths/workers — engine determinism broken", name)
 		}
-		if *assertLockstep && lockElapsed > stepperElapsed+stepperElapsed/4+2 {
-			log.Fatalf("%s: lockstep lane (%dms) slower than per-trial stepper path (%dms)", name, lockElapsed, stepperElapsed)
+		if *assertLockstep && lockElapsed > width1Elapsed+width1Elapsed/4+2 {
+			log.Fatalf("%s: automatic lane width (%dms) slower than a width-1 lane (%dms)", name, lockElapsed, width1Elapsed)
 		}
 		nativeSetup, coroSetup := timeSetups(name, g, g.MinDegree(), *setupCycles, *seed)
 		rep.Batches[name] = batchReport{
@@ -770,10 +772,10 @@ func main() {
 			TrialsPerSec:            float64(*trials) / (float64(elapsed) / 1000),
 			LaneWidth:               fnr.AutoLaneWidth(g.N()),
 			SerialElapsedMS:         serialElapsed,
-			StepperElapsedMS:        stepperElapsed,
+			Width1ElapsedMS:         width1Elapsed,
 			LockstepElapsedMS:       lockElapsed,
-			StepperSpeedup:          float64(serialElapsed) / float64(stepperElapsed),
-			LockstepSpeedup:         float64(stepperElapsed) / float64(lockElapsed),
+			StepperSpeedup:          float64(serialElapsed) / float64(lockElapsed),
+			LockstepSpeedup:         float64(width1Elapsed) / float64(lockElapsed),
 			NativeSetupElapsedMS:    nativeSetup,
 			CoroutineSetupElapsedMS: coroSetup,
 			SetupSpeedup:            float64(coroSetup) / float64(nativeSetup),
@@ -815,13 +817,13 @@ func main() {
 			agg, elapsed := timedRun(batch)
 			batch.Workers = 1
 			lockAgg, lockElapsed := timedRunBest(batch, 3)
-			batch.LaneWidth = -1
-			stepperAgg, stepperElapsed := timedRunBest(batch, 3)
-			if !stepperAgg.Equal(agg) || !lockAgg.Equal(agg) {
-				log.Fatalf("large %s: aggregates differ across paths/workers — engine determinism broken", name)
+			batch.LaneWidth = 1
+			width1Agg, width1Elapsed := timedRunBest(batch, 3)
+			if !width1Agg.Equal(agg) || !lockAgg.Equal(agg) {
+				log.Fatalf("large %s: aggregates differ across widths/workers — engine determinism broken", name)
 			}
-			if *assertLockstep && lockElapsed > stepperElapsed+stepperElapsed/4+2 {
-				log.Fatalf("large %s: lockstep lane (%dms) slower than per-trial stepper path (%dms)", name, lockElapsed, stepperElapsed)
+			if *assertLockstep && lockElapsed > width1Elapsed+width1Elapsed/4+2 {
+				log.Fatalf("large %s: automatic lane width (%dms) slower than a width-1 lane (%dms)", name, lockElapsed, width1Elapsed)
 			}
 			nativeSetup, coroSetup := timeSetups(name, lg, lg.MinDegree(), *setupCycles, *seed)
 			lrep.Batches[name] = largeBatchReport{
@@ -829,9 +831,9 @@ func main() {
 				ElapsedMS:               elapsed,
 				TrialsPerSec:            float64(*largeTrials) / (float64(elapsed) / 1000),
 				LaneWidth:               fnr.AutoLaneWidth(lg.N()),
-				StepperElapsedMS:        stepperElapsed,
+				Width1ElapsedMS:         width1Elapsed,
 				LockstepElapsedMS:       lockElapsed,
-				LockstepSpeedup:         float64(stepperElapsed) / float64(lockElapsed),
+				LockstepSpeedup:         float64(width1Elapsed) / float64(lockElapsed),
 				NativeSetupElapsedMS:    nativeSetup,
 				CoroutineSetupElapsedMS: coroSetup,
 				SetupSpeedup:            float64(coroSetup) / float64(nativeSetup),
@@ -899,8 +901,8 @@ func main() {
 	log.Printf("gen n=%d d=%d: %dms", *n, *d, rep.GenElapsedMS)
 	for _, name := range []string{"whiteboard", "sweep"} {
 		b := rep.Batches[name]
-		log.Printf("%s: lockstep %dms vs per-trial %dms vs goroutine %dms serial (%.1fx lockstep), %dms at %d workers (%.0f trials/s)",
-			name, b.LockstepElapsedMS, b.StepperElapsedMS, b.SerialElapsedMS, b.LockstepSpeedup, b.ElapsedMS, workers, b.TrialsPerSec)
+		log.Printf("%s: auto width %dms vs width 1 %dms vs Program form %dms serial (%.1fx lockstep), %dms at %d workers (%.0f trials/s)",
+			name, b.LockstepElapsedMS, b.Width1ElapsedMS, b.SerialElapsedMS, b.LockstepSpeedup, b.ElapsedMS, workers, b.TrialsPerSec)
 		log.Printf("%s setup: native %dms vs coroutine %dms per %d cycles (%.1fx)",
 			name, b.NativeSetupElapsedMS, b.CoroutineSetupElapsedMS, *setupCycles, b.SetupSpeedup)
 	}
@@ -921,8 +923,8 @@ func main() {
 		log.Printf("large read: binary %dms (%d bytes) vs text %dms (%d bytes), %.1fx",
 			rep.Large.IO.ReadElapsedMS, rep.Large.IO.Bytes, rep.Large.IO.ReadTextElapsedMS, rep.Large.IO.TextBytes, rep.Large.IO.ReadSpeedup)
 		for name, b := range rep.Large.Batches {
-			log.Printf("large %s: %d trials, lockstep %dms vs per-trial %dms at 1 worker (%.1fx), %dms at %d workers",
-				name, rep.Large.Trials, b.LockstepElapsedMS, b.StepperElapsedMS, b.LockstepSpeedup, b.ElapsedMS, workers)
+			log.Printf("large %s: %d trials, auto width %dms vs width 1 %dms at 1 worker (%.1fx), %dms at %d workers",
+				name, rep.Large.Trials, b.LockstepElapsedMS, b.Width1ElapsedMS, b.LockstepSpeedup, b.ElapsedMS, workers)
 			log.Printf("large %s setup: native %dms vs coroutine %dms per %d cycles (%.1fx)",
 				name, b.NativeSetupElapsedMS, b.CoroutineSetupElapsedMS, *setupCycles, b.SetupSpeedup)
 		}

@@ -1,6 +1,6 @@
-// Command experiments regenerates the paper-reproduction tables
-// (DESIGN.md §4, results recorded in EXPERIMENTS.md). Trials inside
-// every experiment run on the batch engine's worker pool.
+// Command experiments regenerates the paper-reproduction tables of
+// the harness suite (E1–E12, S1, A1, A2; -run selects some). Trials
+// inside every experiment run on the batch engine's worker pool.
 //
 // Usage:
 //

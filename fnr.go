@@ -19,8 +19,8 @@
 //     visibility, rendezvous = co-location at the start of a round);
 //   - graph generators, including the hard instances behind the
 //     paper's four Ω(·) lower bounds (Theorems 3–6); and
-//   - the experiment suite of DESIGN.md, reproducing every
-//     quantitative claim (see EXPERIMENTS.md for results).
+//   - the experiment suite (E1–E12, S1, A1, A2; see Experiments and
+//     cmd/experiments), reproducing every quantitative claim.
 //
 // # Quick start
 //
@@ -77,7 +77,7 @@ type (
 	// Program is a mobile-agent algorithm in direct style.
 	Program = sim.Program
 	// Stepper is a mobile-agent algorithm in state-machine style —
-	// the goroutine-free fast path for batch trials.
+	// the fast path for batch trials.
 	Stepper = sim.Stepper
 	// StepperFinisher is the optional stepper-lifecycle hook: a
 	// Stepper owning execution resources implements Finish, and the
@@ -172,7 +172,7 @@ var (
 	// PaperParams returns the constants exactly as printed in the paper.
 	PaperParams = core.PaperParams
 	// PracticalParams returns constants scaled for laptop-size n (the
-	// default; see DESIGN.md on constant scaling).
+	// default; see core.PracticalParams on constant scaling).
 	PracticalParams = core.PracticalParams
 )
 
@@ -196,11 +196,12 @@ var (
 	// counterpart of a Program panic).
 	ActAbort = sim.Abort
 	// ProgramStepper adapts a direct-style Program into a Stepper via
-	// a lightweight coroutine, keeping it on the fast path without a
-	// state-machine rewrite.
+	// a lightweight coroutine — the host every Program runs on,
+	// including under RunPrograms and Rendezvous.
 	ProgramStepper = sim.NewProgramStepper
 	// AlgorithmSteppersFromPrograms lifts an AlgorithmSpec.Build
-	// function into a BuildSteppers function using ProgramStepper.
+	// function into a BuildSteppers function using ProgramStepper
+	// (RunBatch does this itself for specs without BuildSteppers).
 	AlgorithmSteppersFromPrograms = algo.SteppersFromPrograms
 	// FinishStepper releases a stepper's execution resources if it
 	// implements StepperFinisher (safe on nil) — call it on steppers
@@ -331,19 +332,18 @@ type (
 // throughput tradeoff:
 //
 //   - Build (required) constructs direct-style Programs: ordinary Go
-//     functions, easiest to write and read, each hosted on its own
-//     goroutine with two channel handoffs per acting round when run
-//     via Rendezvous/RunPrograms.
+//     functions, easiest to write and read, each hosted on a
+//     coroutine (ProgramStepper) with one context switch per acting
+//     round. Rendezvous runs this form, and so does RunBatch when
+//     BuildSteppers is absent.
 //   - BuildSteppers (optional) constructs state-machine Steppers that
-//     the simulator steps inline — no goroutines, no channels, and
-//     with per-trial scratch reuse inside RunBatch. Batches select
-//     this fast path automatically when it is present; on the
-//     reference benchmark it is several times faster per trial.
+//     the simulator steps inline, with no coroutine and with stepper
+//     reuse across a batch's trials. Batches select this form
+//     automatically when it is present; on the reference benchmark
+//     it is several times faster per trial.
 //
 // A spec that provides both must keep them behaviorally identical
-// (same actions, same RNG draw order). The cheap middle ground is
-// AlgorithmSteppersFromPrograms, which hosts the Build programs on
-// coroutines: direct style, most of the fast-path win, no rewrite.
+// (same actions, same RNG draw order).
 var RegisterAlgorithm = algo.Register
 
 // Options tunes a Rendezvous run. The zero value is usable for every
@@ -405,7 +405,7 @@ func BuildPrograms(a Algorithm, opt Options) (Program, Program, error) {
 // BuildSteppers constructs one run's Stepper pair for a registered
 // algorithm — the state-machine counterpart of BuildPrograms, for
 // RunSteppers. It fails for algorithms without a stepper builder
-// (those run on the Program path only). Steppers are stateful: build
+// (those run in their Program form only). Steppers are stateful: build
 // a fresh pair per run, and FinishStepper any pair that is never
 // handed to a run.
 func BuildSteppers(a Algorithm, opt Options) (Stepper, Stepper, error) {
@@ -425,7 +425,7 @@ func BuildSteppers(a Algorithm, opt Options) (Stepper, Stepper, error) {
 // adjacent) and reports the outcome. The strategy is resolved through
 // the registry: its declared capabilities configure the simulation
 // (neighbor-ID visibility, whiteboards) and its Build constructs the
-// program pair.
+// program pair, which runs on coroutine hosts (see RunPrograms).
 func Rendezvous(g *Graph, startA, startB Vertex, a Algorithm, opt Options) (*Result, error) {
 	if g == nil {
 		return nil, errors.New("fnr: nil graph")
@@ -498,9 +498,10 @@ func RunBatchReducedContext(ctx context.Context, b Batch) (*BatchReducer, error)
 
 // DefaultLaneWidth is the widest lockstep lane Batch.LaneWidth = 0
 // selects: how many trials each worker keeps resident at once on the
-// stepper fast path. On large graphs the automatic width narrows so
-// the resident trials' combined working set stays cache-friendly —
-// AutoLaneWidth reports the resolved value.
+// lane every batch runs on. On large graphs the automatic width
+// narrows so the resident trials' combined working set stays
+// cache-friendly — AutoLaneWidth reports the resolved value. A
+// negative LaneWidth is rejected.
 const DefaultLaneWidth = engine.DefaultLaneWidth
 
 // AutoLaneWidth reports the lockstep lane width a Batch with
@@ -591,15 +592,16 @@ func ReadBatchCheckpoint(path string, b Batch) (*BatchReducer, error) {
 
 // RunPrograms executes two custom agent programs under an explicit
 // simulation configuration — the low-level entry point for user-written
-// strategies.
+// strategies. Each program runs on a coroutine host (ProgramStepper),
+// stepped by the same lockstep loop as RunSteppers.
 func RunPrograms(cfg SimConfig, a, b Program) (*Result, error) {
 	return sim.Run(cfg, a, b)
 }
 
 // RunSteppers executes two state-machine agents under an explicit
-// simulation configuration — the goroutine-free counterpart of
-// RunPrograms. Mixing styles is fine: wrap a Program with
-// ProgramStepper to run it against a native Stepper.
+// simulation configuration — the Stepper counterpart of RunPrograms.
+// Mixing styles is fine: wrap a Program with ProgramStepper to run it
+// against a native Stepper.
 func RunSteppers(cfg SimConfig, a, b Stepper) (*Result, error) {
 	return sim.RunSteppers(cfg, a, b)
 }

@@ -93,14 +93,13 @@ type Spec struct {
 	// stateful closures: call Build once per trial.
 	Build func(o BuildOpts) (a, b sim.Program, err error)
 	// BuildSteppers, when non-nil, constructs the strategy as a pair
-	// of state-machine steppers for the engine's goroutine-free fast
-	// path; the engine prefers it automatically. It must be
-	// behaviorally identical to Build — same action sequence, same
-	// RNG draw order — so that a batch produces byte-identical
-	// results on either path (internal/engine's differential suite
-	// enforces this for every registered strategy). Direct-style
-	// strategies can satisfy it cheaply with SteppersFromPrograms;
-	// specs that leave it nil simply stay on the Program path.
+	// of native state-machine steppers, the engine's fast form; the
+	// engine prefers it automatically. It must be behaviorally
+	// identical to Build — same action sequence, same RNG draw order —
+	// so that a batch produces byte-identical results in either form
+	// (internal/engine's differential suite enforces this for every
+	// registered strategy). Specs that leave it nil run their Build
+	// programs on coroutine hosts (SteppersFromPrograms) instead.
 	BuildSteppers func(o BuildOpts) (a, b sim.Stepper, err error)
 	// BuildTeam, when non-nil, constructs the strategy for a k-agent
 	// scenario (k > 2): one stepper per agent, in team order. It is
@@ -197,9 +196,8 @@ func (s Spec) SupportsTeam() bool { return s.BuildTeam != nil }
 
 // SteppersFromPrograms lifts a Program-pair builder into a
 // stepper-pair builder by hosting each program on a lightweight
-// coroutine (sim.NewProgramStepper): direct-style strategies ride the
-// engine's fast path without being rewritten as state machines. The
-// paper's two algorithms register their BuildSteppers this way.
+// coroutine (sim.NewProgramStepper) — how the engine runs a
+// strategy's Program form on its lockstep lane.
 func SteppersFromPrograms(build func(o BuildOpts) (a, b sim.Program, err error)) func(o BuildOpts) (a, b sim.Stepper, err error) {
 	return func(o BuildOpts) (sim.Stepper, sim.Stepper, error) {
 		a, b, err := build(o)

@@ -9,9 +9,9 @@ import (
 // this package (blank imports included) is enough to make them
 // resolvable by name. Orders 2–6 preserve the historical
 // fnr.Algorithm constant values. Every baseline registers three
-// forms: Build (direct-style programs, the goroutine path),
+// forms: Build (direct-style programs, the Program form),
 // BuildSteppers (the native state machines of steppers.go, the
-// engine's fast path), and BuildTeam — the baselines are all
+// engine's fast form), and BuildTeam — the baselines are all
 // oblivious, so the k-agent generalization is agent 0 in the a-role
 // and agents 1..k-1 each running an independent copy of the b-role
 // (for walkpair, k independent walkers; the roles coincide).

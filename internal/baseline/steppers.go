@@ -1,10 +1,10 @@
 package baseline
 
 // This file holds the stepper (state-machine) forms of the baseline
-// strategies, used by the engine's goroutine-free fast path. Each
-// stepper is behaviorally identical to its Program counterpart in
-// baseline.go — same action sequence, same RNG draw order — so trial
-// results are byte-identical on either path (the differential suite
+// strategies, the form the engine runs by default. Each stepper is
+// behaviorally identical to its Program counterpart in baseline.go —
+// same action sequence, same RNG draw order — so trial results are
+// byte-identical in either form (the differential suite
 // in internal/engine enforces this). When changing a strategy, change
 // both forms.
 

@@ -8,7 +8,7 @@ import (
 
 // WhiteboardStats collects diagnostics from agent a's run of the
 // Theorem-1 algorithm. Fill it in by passing a pointer to the agent
-// constructors; it is written only by the agent goroutine and must be
+// constructors; it is written only by the agent's program and must be
 // read only after sim.Run returns.
 type WhiteboardStats struct {
 	// Iterations is the number of Construct iterations (the paper's i;
@@ -78,7 +78,7 @@ func (w *walker) sampleRun(gamma []int64, alpha float64, st *WhiteboardStats) ([
 // classified δ/8-heavy for NS = N+(S). The returned walker's ns/nsL is
 // the (a, δ/8, 2)-dense set T^a (Lemma 6).
 //
-// One divergence from the pseudocode, noted in DESIGN.md: vertices
+// One divergence from the pseudocode: vertices
 // drawn from R after a strict run are verified exactly by visiting them
 // (the visit is needed anyway to learn N+(x_i)); a candidate that turns
 // out heavy is recorded as such instead of being added to S. This

@@ -12,29 +12,47 @@ import (
 )
 
 // bytesPerTrial measures the average heap bytes and allocation count
-// one trial costs under the given trial-context supplier.
-func bytesPerTrial(t *testing.T, b Batch, trials int, tcFor func() *sim.TrialContext) (bytesPer, allocsPer float64) {
+// one trial costs on a width-1 lane: one shared lane when fresh is
+// false (warm trials: steppers built, slot scratch grown), a new lane
+// per trial when it is true (cold trials).
+func bytesPerTrial(t *testing.T, b Batch, trials int, fresh bool) (bytesPer, allocsPer float64) {
 	t.Helper()
 	spec, opts, err := b.prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm: run every measured trial once first, so a reusable context
-	// has grown its scratch to each seed's high-water mark and the
-	// measured pass sees the steady state the gates are about. (For
-	// the fresh-context supplier this warm-up changes nothing.)
-	for i := 0; i <= trials; i++ {
-		if out := runStepperTrial(b, spec, opts, tcFor(), i); out.Err {
-			t.Fatalf("warm-up trial %d errored", i)
+	newLane := func() *sim.TrialLane {
+		return sim.NewTeamLane(1, func() ([]sim.Stepper, error) { return spec.Team(opts, b.teamSize()) })
+	}
+	shared := newLane()
+	defer shared.Close()
+	cfg := trialConfig(b, spec)
+	seedOf := func(i int) uint64 { return TrialSeed(b.Seed, i) }
+	emit := func(trial int, _ *sim.Result, err error) {
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
+	}
+	run := func(i int) {
+		lane := shared
+		if fresh {
+			lane = newLane()
+			defer lane.Close()
+		}
+		lane.Run(cfg, seedOf, i, i+1, emit)
+	}
+	// Warm: run every measured trial once first, so a shared lane has
+	// grown its scratch to each seed's high-water mark and the
+	// measured pass sees the steady state the gates are about. (For
+	// fresh lanes this warm-up changes nothing.)
+	for i := 0; i <= trials; i++ {
+		run(i)
 	}
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	for i := 1; i <= trials; i++ {
-		if out := runStepperTrial(b, spec, opts, tcFor(), i); out.Err {
-			t.Fatalf("trial %d errored", i)
-		}
+		run(i)
 	}
 	runtime.ReadMemStats(&m1)
 	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(trials),
@@ -42,7 +60,7 @@ func bytesPerTrial(t *testing.T, b Batch, trials int, tcFor func() *sim.TrialCon
 }
 
 // TestWhiteboardTrialScratchAllocs is the allocation-regression gate
-// for the per-trial walker scratch: on a reused sim.TrialContext the
+// for the per-trial walker scratch: on a reused lane slot the
 // Theorem-1 whiteboard algorithm must not re-allocate its Θ(n') dense
 // idspace arrays (≈ 24 bytes per ID before the scratch fold) or its
 // per-Construct counters each trial.
@@ -61,35 +79,33 @@ func TestWhiteboardTrialScratchAllocs(t *testing.T) {
 	b := Batch{Graph: g, StartA: sa, StartB: sb, Algorithm: "whiteboard",
 		Delta: g.MinDegree(), Trials: 1, Seed: 21, Workers: 1}
 
-	shared := sim.NewTrialContext()
-	warmBytes, warmAllocs := bytesPerTrial(t, b, 6, func() *sim.TrialContext { return shared })
-	t.Logf("warm context: %.0f B/trial, %.1f allocs/trial", warmBytes, warmAllocs)
+	warmBytes, warmAllocs := bytesPerTrial(t, b, 6, false)
+	t.Logf("warm lane: %.0f B/trial, %.1f allocs/trial", warmBytes, warmAllocs)
 	// The walker's dense idspace structures alone span ≥ 24·n bytes
 	// (idIndex int32+gen, idToID int64+gen, idSet gen); a reused
-	// context must stay well below re-allocating them every trial.
+	// slot must stay well below re-allocating them every trial.
 	if limit := float64(16 * n); warmBytes > limit {
-		t.Errorf("reused TrialContext allocates %.0f B/trial, want < %.0f (walker scratch not reused)", warmBytes, limit)
+		t.Errorf("reused lane slot allocates %.0f B/trial, want < %.0f (walker scratch not reused)", warmBytes, limit)
 	}
 	if warmAllocs > 128 {
-		t.Errorf("reused TrialContext allocates %.1f times/trial, want ≤ 128", warmAllocs)
+		t.Errorf("reused lane slot allocates %.1f times/trial, want ≤ 128", warmAllocs)
 	}
 
-	coldBytes, _ := bytesPerTrial(t, b, 6, sim.NewTrialContext)
-	t.Logf("cold contexts: %.0f B/trial", coldBytes)
+	coldBytes, _ := bytesPerTrial(t, b, 6, true)
+	t.Logf("cold lanes: %.0f B/trial", coldBytes)
 	if coldBytes < float64(24*n) {
-		// Sanity for the gate itself: fresh contexts must actually pay
+		// Sanity for the gate itself: fresh lanes must actually pay
 		// the Θ(n') cost, or the warm threshold proves nothing.
-		t.Errorf("fresh TrialContext allocates only %.0f B/trial — gate no longer measures the dense arrays", coldBytes)
+		t.Errorf("fresh lane allocates only %.0f B/trial — gate no longer measures the dense arrays", coldBytes)
 	}
 }
 
 // TestNativePaperStepperSetupAllocs is the per-trial setup gate for
-// the native paper steppers: with a warm TrialContext the whole trial
-// — builder, stepper state machines, lockstep runtime, walker and
-// agent-b scratch — must cost under 1 KB of allocations, i.e. the
-// iter.Pull coroutine and program-closure setup the
-// SteppersFromPrograms adapter used to pay per trial is gone and
-// nothing Θ(n) crept back in.
+// the native paper steppers: on a warm width-1 lane the whole trial —
+// stepper Reset, state machines, lockstep runtime, walker and agent-b
+// scratch — must cost under 1 KB of allocations, i.e. no iter.Pull
+// coroutine or program-closure setup runs per trial and nothing Θ(n)
+// crept back in.
 func TestNativePaperStepperSetupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -105,14 +121,13 @@ func TestNativePaperStepperSetupAllocs(t *testing.T) {
 	for _, name := range []string{"whiteboard", "noboard"} {
 		b := Batch{Graph: g, StartA: sa, StartB: sb, Algorithm: name,
 			Delta: g.MinDegree(), Trials: 1, Seed: 21, Workers: 1}
-		shared := sim.NewTrialContext()
-		bytesPer, allocsPer := bytesPerTrial(t, b, 6, func() *sim.TrialContext { return shared })
-		t.Logf("%s native path, warm context: %.0f B/trial, %.1f allocs/trial", name, bytesPer, allocsPer)
+		bytesPer, allocsPer := bytesPerTrial(t, b, 6, false)
+		t.Logf("%s native steppers, warm lane: %.0f B/trial, %.1f allocs/trial", name, bytesPer, allocsPer)
 		if bytesPer > 1024 {
-			t.Errorf("%s native stepper trial allocates %.0f B on a warm context, want < 1024", name, bytesPer)
+			t.Errorf("%s native stepper trial allocates %.0f B on a warm lane, want < 1024", name, bytesPer)
 		}
 		if allocsPer > 24 {
-			t.Errorf("%s native stepper trial allocates %.1f times on a warm context, want ≤ 24", name, allocsPer)
+			t.Errorf("%s native stepper trial allocates %.1f times on a warm lane, want ≤ 24", name, allocsPer)
 		}
 	}
 }
@@ -143,7 +158,7 @@ func TestLockstepLaneAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := trialConfig(b, spec, 0)
+	cfg := trialConfig(b, spec)
 	seedOf := func(i int) uint64 { return TrialSeed(b.Seed, i) }
 	lane := sim.NewTrialLane(width, func() (sim.Stepper, sim.Stepper, error) {
 		return spec.Steppers(opts)

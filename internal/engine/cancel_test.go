@@ -10,7 +10,7 @@ import (
 )
 
 // cancelBatch is a batch big enough that a racing cancel reliably
-// lands mid-run on every execution path.
+// lands mid-run in either strategy form.
 func cancelBatch(t *testing.T) Batch {
 	t.Helper()
 	g, sa, sb := testGraph(t)
@@ -39,7 +39,6 @@ func TestCancelMidBatchReturnsCoveredPartialState(t *testing.T) {
 		mut  func(*Batch)
 	}{
 		{"lanes", func(b *Batch) {}},
-		{"legacy stepper", func(b *Batch) { b.LaneWidth = -1 }},
 		{"program", func(b *Batch) { b.ForceProgramPath = true }},
 	}
 	for _, p := range paths {
@@ -119,8 +118,9 @@ func TestPreCancelledContext(t *testing.T) {
 }
 
 // Cancellation must not leak worker goroutines: every worker exits
-// before the Run* call returns, on all three execution paths, even
-// when the cancel races chunk claiming.
+// before the Run* call returns, for the native stepper form and the
+// Program form (whose coroutines must unwind too), even when the
+// cancel races chunk claiming.
 func TestCancelLeaksNoGoroutines(t *testing.T) {
 	b := cancelBatch(t)
 	b.Workers = 8
@@ -128,12 +128,7 @@ func TestCancelLeaksNoGoroutines(t *testing.T) {
 	for i := range 20 {
 		ctx, cancel := context.WithCancel(t.Context())
 		pb := b
-		switch i % 3 {
-		case 1:
-			pb.LaneWidth = -1
-		case 2:
-			pb.ForceProgramPath = true
-		}
+		pb.ForceProgramPath = i%2 == 1
 		go cancel() // race the cancel against the whole run
 		if _, err := RunReduced(ctx, pb); err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatal(err)

@@ -18,12 +18,13 @@ type diffInstance struct {
 }
 
 // The differential suite: for every registered algorithm, across a
-// seed × instance matrix, the goroutine-free stepper path and the
-// goroutine-backed Program path must produce identical per-trial
-// Outcomes and byte-identical Aggregate JSON. This is the contract
-// that lets the engine switch paths freely (and lets benchengine
-// compare their timings honestly). CI runs it under -race, which also
-// exercises the coroutine adapter against the race detector.
+// seed × instance matrix, the native stepper form and the Program
+// form (ForceProgramPath: the Build programs on coroutine hosts) must
+// produce identical per-trial Outcomes and byte-identical Aggregate
+// JSON. For the paper's algorithms and the baselines the two forms
+// are independent implementations, so this compares two readings of
+// the paper, not two schedulers. CI runs it under -race, which also
+// exercises the coroutine host against the race detector.
 func TestStepperAndProgramPathsAreIdentical(t *testing.T) {
 	planted, err := graph.PlantedMinDegree(96, 24, rand.New(rand.NewPCG(5, 6)))
 	if err != nil {
@@ -48,7 +49,7 @@ func TestStepperAndProgramPathsAreIdentical(t *testing.T) {
 
 				fast := base
 				slow := base
-				slow.ForceProgramPath = true
+				slow.ForceProgramPath = true // Program form
 
 				fastOut, err := RunOutcomes(t.Context(), fast)
 				if err != nil {
@@ -173,12 +174,12 @@ func TestStepperPathDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The lockstep-lane gate (satellite of the lockstep PR): for both
-// paper algorithms, per-trial outcomes and aggregate JSON must be
-// byte-identical across workers 1/4/16 × lane widths 1/8/64, with
-// the legacy one-at-a-time stepper path (LaneWidth -1, 1 worker) as
-// the reference. CI runs this under -race, exercising the lane's
-// slot state and the chunked claim queue against the race detector.
+// The lockstep-lane gate: for both paper algorithms, per-trial
+// outcomes and aggregate JSON must be byte-identical across workers
+// 1/4/16 × lane widths 1/8/64, with a width-1 lane on 1 worker — one
+// trial resident at a time, in trial order — as the reference. CI
+// runs this under -race, exercising the lane's slot state and the
+// chunked claim queue against the race detector.
 func TestLaneWidthAndWorkersDeterministic(t *testing.T) {
 	g, sa, sb := testGraph(t)
 	for _, name := range []string{"whiteboard", "noboard"} {
@@ -189,7 +190,7 @@ func TestLaneWidthAndWorkersDeterministic(t *testing.T) {
 		}
 		ref := base
 		ref.Workers = 1
-		ref.LaneWidth = -1 // legacy per-trial stepper path
+		ref.LaneWidth = 1
 		refOut, err := RunOutcomes(t.Context(), ref)
 		if err != nil {
 			t.Fatalf("%s reference: %v", name, err)

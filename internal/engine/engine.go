@@ -10,7 +10,9 @@
 // The engine resolves strategies by name through the algo registry;
 // anything registered there (the paper's algorithms, the baselines,
 // or a third-party Spec) can be batched without the engine knowing
-// its construction.
+// its construction. Every batch runs on one scheduler, the lockstep
+// sim.TrialLane (see runLanes); a strategy's Program form rides it
+// on coroutine hosts.
 package engine
 
 import (
@@ -45,7 +47,7 @@ type Batch struct {
 	// the legacy setting — k=2, zero delays, all-gather — is folded
 	// into StartA/StartB before anything observes it, so its
 	// aggregate and checkpoint identity are byte-identical to the
-	// equivalent legacy batch. k>2 requires the stepper path and a
+	// equivalent legacy batch. k>2 requires the stepper form and a
 	// strategy with a team builder (the oblivious baselines; the
 	// paper's pairwise algorithms reject k>2 loudly).
 	Scenario *sim.Scenario
@@ -65,21 +67,20 @@ type Batch struct {
 	// Workers bounds trial parallelism (≤ 0 = GOMAXPROCS). It never
 	// affects results, only wall-clock time.
 	Workers int
-	// ForceProgramPath runs the goroutine-backed Program path even
-	// when the strategy provides steppers — a benchmarking and
-	// diagnostics knob (benchengine times both paths with it; the
-	// differential suite uses it to prove the paths byte-identical).
-	// The zero value selects the goroutine-free stepper fast path
-	// automatically whenever the spec has a stepper builder. Like
-	// Workers, it must never affect results, only wall-clock time.
+	// ForceProgramPath runs the strategy's Program form (its Build
+	// programs, each hosted on a coroutine inside the lane) even when
+	// the strategy provides native steppers — a benchmarking and
+	// diagnostics knob (benchengine times both forms with it; the
+	// differential suite uses it to prove them byte-identical). The
+	// zero value runs the native stepper form whenever the spec has a
+	// stepper builder, and the Program form otherwise. Like Workers,
+	// it must never affect results, only wall-clock time.
 	ForceProgramPath bool
-	// LaneWidth selects the lockstep lane width of the stepper fast
-	// path: 0 = automatic (AutoLaneWidth of the graph size), ≥ 1 =
-	// exactly that many resident trials per worker, < 0 = the legacy
-	// one-trial-at-a-time stepper path (a diagnostics knob like
-	// ForceProgramPath; the differential suite uses it to prove lane
-	// widths byte-identical). It never affects results, only
-	// wall-clock time and memory.
+	// LaneWidth selects the lockstep lane width: 0 = automatic
+	// (AutoLaneWidth of the graph size), ≥ 1 = exactly that many
+	// resident trials per worker; negative widths are rejected. It
+	// never affects results, only wall-clock time and memory (the
+	// differential suite pins this).
 	LaneWidth int
 	// ShardIndex and ShardCount split the batch's trial range across
 	// independent processes: shard i of k runs only the global trial
@@ -94,9 +95,9 @@ type Batch struct {
 	// (panics, stalls, builder errors) derived from the plan's seed
 	// and the global trial index alone — the differential-test knob
 	// for the engine's fault-tolerance layer. Fault injection wraps
-	// steppers, so it requires the stepper fast path (prepare rejects
-	// a faulted batch whose strategy lacks steppers, or that forces
-	// the Program path). Like Workers and LaneWidth, the worker
+	// native steppers, so it requires the stepper form (prepare
+	// rejects a faulted batch whose strategy lacks steppers, or that
+	// forces the Program form). Like Workers and LaneWidth, the worker
 	// count, lane width and shard split must never change a faulted
 	// batch's aggregate.
 	Faults *FaultPlan
@@ -154,7 +155,7 @@ const DefaultLaneWidth = 8
 // lane width keeps resident per worker. Each interleaved trial
 // touches O(n) state every sweep (dense Sample counters, whiteboard
 // partitions, walker scratch), so widths whose combined footprint
-// outgrows the cache run slower than the per-trial path — measured:
+// outgrows the cache run slower than a one-trial lane — measured:
 // width 8 at n = 65536 is ~6× slower than width 1 on one core.
 const laneAutoBudget = 1 << 21
 
@@ -172,20 +173,13 @@ func AutoLaneWidth(n int) int {
 	return max(width, 1)
 }
 
-// laneWidth resolves the batch's lockstep lane width (0 when the
-// legacy per-trial stepper path was requested).
+// laneWidth resolves the batch's lockstep lane width. The caller has
+// prepared b, so LaneWidth ≥ 0 and Graph is set.
 func (b Batch) laneWidth() int {
-	switch {
-	case b.LaneWidth == 0:
-		n := 0
-		if b.Graph != nil {
-			n = b.Graph.N()
-		}
-		return AutoLaneWidth(n)
-	case b.LaneWidth < 0:
-		return 0
+	if b.LaneWidth > 0 {
+		return b.LaneWidth
 	}
-	return b.LaneWidth
+	return AutoLaneWidth(b.Graph.N())
 }
 
 // Outcome is one trial reduced to what aggregation needs.
@@ -206,9 +200,6 @@ type Outcome struct {
 	// Aggregate.FirstErrors; Outcome stays comparable with ==.
 	Msg string
 }
-
-// errOutcome reduces a trial-level failure to its Outcome.
-func errOutcome(err error) Outcome { return Outcome{Err: true, Msg: err.Error()} }
 
 // Dist summarizes a sample: mean, median, p95 and range. The zero
 // value stands for an empty sample.
@@ -372,8 +363,8 @@ func Trials[T any](workers, n int, f func(trial int) T) []T {
 
 // TrialsScratch is Trials with per-worker scratch: every worker
 // goroutine calls newScratch once and passes the value to each of its
-// f invocations, so reusable trial state (sim.TrialContext on the
-// stepper fast path) is allocated per worker, not per trial, without
+// f invocations, so reusable trial state (a sim.TrialContext, say)
+// is allocated per worker, not per trial, without
 // any locking. f must be safe for concurrent calls with distinct
 // (scratch, trial) pairs; scratch values must never affect results.
 func TrialsScratch[S, T any](workers, n int, newScratch func() S, f func(scratch S, trial int) T) []T {
@@ -459,11 +450,10 @@ func chunkedWorkers[S any](ctx context.Context, workers, n int, newScratch func(
 // RunOutcomes executes the batch and returns the per-trial outcomes
 // in trial order — the lower-level entry point for callers (the
 // experiment harness) that need more than the standard aggregate.
-// When the strategy provides steppers (and ForceProgramPath is off)
-// the trials run on the goroutine-free stepper path, each worker
-// reusing one sim.TrialContext across all its trials; otherwise they
-// run on the classic goroutine-backed Program path. The two paths
-// produce byte-identical outcomes.
+// The trials run on the lockstep lane (see runLanes), in the
+// strategy's native stepper form or, under ForceProgramPath or for a
+// spec without steppers, its Program form; both forms produce
+// byte-identical outcomes.
 //
 // Cancelling ctx stops the run at the next chunk boundary and
 // returns (nil, ctx.Err()): an outcome slice cannot say which trials
@@ -477,28 +467,10 @@ func RunOutcomes(ctx context.Context, b Batch) ([]Outcome, error) {
 	}
 	lo, hi := b.shardSpan()
 	out := make([]Outcome, hi-lo)
-	switch {
-	case !b.useSteppers(spec):
-		chunkedWorkers(ctx, b.Workers, hi-lo,
-			func() struct{} { return struct{}{} },
-			func(_ struct{}, from, to int) {
-				for i := from; i < to; i++ {
-					out[i] = runTrial(b, spec, opts, lo+i)
-				}
-			})
-	case b.laneWidth() > 0:
-		runLanes(ctx, b, spec, opts, b.laneWidth(), lo, hi,
-			func() struct{} { return struct{}{} },
-			func(_ struct{}, trial int, o Outcome) { out[trial-lo] = o },
-			nil)
-	default: // legacy one-trial-at-a-time stepper path
-		chunkedWorkers(ctx, b.Workers, hi-lo, newStepperWorker,
-			func(w *stepperWorker, from, to int) {
-				for i := from; i < to; i++ {
-					out[i] = w.run(b, spec, opts, lo+i)
-				}
-			})
-	}
+	runLanes(ctx, b, spec, opts, lo, hi,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, trial int, o Outcome) { out[trial-lo] = o },
+		nil)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -511,11 +483,11 @@ type laneWorker[S any] struct {
 	sink S
 }
 
-// runLanes executes trials [lo, hi) of the batch on the lockstep
-// lane path: a pool of workers, each owning one sim.TrialLane of the
-// given width and one sink, claiming trial-index chunks and
-// streaming each finished trial's Outcome into the worker's sink via
-// emit. Emitted trial indices are global (shard-offset), matching
+// runLanes is the engine's one trial scheduler: it executes trials
+// [lo, hi) of the batch on a pool of workers, each owning one
+// sim.TrialLane of the batch's lane width and one sink, claiming
+// trial-index chunks and streaming each finished trial's Outcome into
+// the worker's sink via emit. Emitted trial indices are global (shard-offset), matching
 // the seeds. After each chunk, cover (if non-nil) receives the
 // chunk's completed global range — [from, from) when a cancel struck
 // before any arm, the full chunk otherwise; the reducer path records
@@ -527,8 +499,8 @@ type laneWorker[S any] struct {
 // Cancelling ctx stops each lane at its next refill boundary (via
 // lane.Stop): resident trials drain, nothing new is armed, and the
 // pool exits at the chunk-claim boundary.
-func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.BuildOpts, width, lo, hi int, newSink func() S, emit func(sink S, trial int, o Outcome), cover func(sink S, from, to int)) []S {
-	cfg := trialConfig(b, spec, 0) // per-trial seeds come from seedOf
+func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.BuildOpts, lo, hi int, newSink func() S, emit func(sink S, trial int, o Outcome), cover func(sink S, from, to int)) []S {
+	cfg := trialConfig(b, spec)
 	seedOf := func(t int) uint64 { return TrialSeed(b.Seed, t) }
 	build := func() ([]sim.Stepper, error) {
 		return spec.Team(opts, b.teamSize())
@@ -536,6 +508,7 @@ func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.Bui
 	if b.Faults != nil {
 		build = b.Faults.wrapBuilder(build)
 	}
+	width := b.laneWidth()
 	workers := chunkedWorkers(ctx, b.Workers, hi-lo, func() *laneWorker[S] {
 		w := &laneWorker[S]{
 			lane: sim.NewTeamLane(width, build),
@@ -564,7 +537,8 @@ func runLanes[S any](ctx context.Context, b Batch, spec algo.Spec, opts algo.Bui
 	return sinks
 }
 
-// useSteppers reports whether the batch takes the stepper fast path.
+// useSteppers reports whether the batch runs the strategy's native
+// stepper form (rather than its Program form).
 func (b Batch) useSteppers(spec algo.Spec) bool {
 	return spec.BuildSteppers != nil && !b.ForceProgramPath
 }
@@ -630,6 +604,9 @@ func (b Batch) prepare() (algo.Spec, algo.BuildOpts, error) {
 	if b.ShardCount < 0 || b.ShardIndex < 0 || b.ShardIndex >= max(b.ShardCount, 1) {
 		return spec, opts, fmt.Errorf("engine: shard %d/%d invalid (need 0 ≤ index < count)", b.ShardIndex, b.ShardCount)
 	}
+	if b.LaneWidth < 0 {
+		return spec, opts, fmt.Errorf("engine: LaneWidth %d < 0", b.LaneWidth)
+	}
 	n := graph.Vertex(b.Graph.N())
 	if sc := b.Scenario; sc != nil {
 		if err := sc.Validate(n); err != nil {
@@ -658,7 +635,7 @@ func (b Batch) prepare() (algo.Spec, algo.BuildOpts, error) {
 	}
 	if k := b.teamSize(); k > 2 {
 		if !b.useSteppers(spec) {
-			// The Program path hosts exactly two direct-style agents;
+			// The Program form is exactly two direct-style agents;
 			// k-agent teams exist only in stepper form.
 			return spec, opts, fmt.Errorf("engine: %d-agent scenarios require the stepper path (strategy without steppers, or ForceProgramPath)", k)
 		}
@@ -676,24 +653,24 @@ func (b Batch) prepare() (algo.Spec, algo.BuildOpts, error) {
 			return spec, opts, fmt.Errorf("engine: %w", err)
 		}
 		if !b.useSteppers(spec) {
-			// Fault wrappers interpose on steppers; the Program path
-			// has nothing to wrap, so a faulted batch routed there
-			// would silently run fault-free instead.
+			// Fault plans are defined (and differential-tested) on
+			// the native stepper form; a Program-form batch refuses
+			// one rather than run it untested.
 			return spec, opts, errors.New("engine: fault injection requires the stepper path (strategy without steppers, or ForceProgramPath)")
 		}
+	}
+	if !b.useSteppers(spec) {
+		// The Program form runs on the same lane, each program hosted
+		// on a coroutine.
+		spec.BuildSteppers = algo.SteppersFromPrograms(spec.Build)
 	}
 	// Pre-flight the builder the batch will actually use, so
 	// capability mismatches (for example "noboard" without Delta)
 	// fail before any worker starts. The probe team never runs, so
 	// honor the stepper lifecycle by finishing it explicitly.
-	if b.useSteppers(spec) {
-		var team []sim.Stepper
-		team, err = spec.Team(opts, b.teamSize())
-		for i := len(team) - 1; i >= 0; i-- {
-			sim.Finish(team[i])
-		}
-	} else {
-		_, _, err = spec.Programs(opts)
+	team, err := spec.Team(opts, b.teamSize())
+	for i := len(team) - 1; i >= 0; i-- {
+		sim.Finish(team[i])
 	}
 	if err != nil {
 		return spec, opts, fmt.Errorf("engine: %w", err)
@@ -701,8 +678,9 @@ func (b Batch) prepare() (algo.Spec, algo.BuildOpts, error) {
 	return spec, opts, nil
 }
 
-// trialConfig is the simulation configuration shared by both paths.
-func trialConfig(b Batch, spec algo.Spec, trial int) sim.Config {
+// trialConfig is the simulation configuration of the batch's trials;
+// the lane seeds each trial itself (TrialSeed of its index).
+func trialConfig(b Batch, spec algo.Spec) sim.Config {
 	return sim.Config{
 		Graph:       b.Graph,
 		StartA:      b.StartA,
@@ -710,83 +688,8 @@ func trialConfig(b Batch, spec algo.Spec, trial int) sim.Config {
 		Scenario:    b.Scenario,
 		NeighborIDs: spec.Caps.NeighborIDs,
 		Whiteboards: spec.Caps.Whiteboards,
-		Seed:        TrialSeed(b.Seed, trial),
 		MaxRounds:   b.MaxRounds,
 	}
-}
-
-// runTrial executes one trial of the batch on the goroutine-backed
-// Program path. A panic on the calling goroutine (a panicking
-// builder, or the simulator's own machinery) is isolated as the
-// trial's error outcome; the Program path keeps no cross-trial
-// scratch, so there is nothing to quarantine.
-func runTrial(b Batch, spec algo.Spec, opts algo.BuildOpts, trial int) (o Outcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			o = errOutcome(sim.PanicError(r))
-		}
-	}()
-	progA, progB, err := spec.Programs(opts)
-	if err != nil {
-		return errOutcome(err)
-	}
-	res, err := sim.Run(trialConfig(b, spec, trial), progA, progB)
-	return OutcomeOf(res, err)
-}
-
-// stepperWorker is the per-worker scratch of the legacy
-// one-trial-at-a-time stepper path: one sim.TrialContext reused
-// across the worker's trials, plus the panic quarantine that reuse
-// obliges. It exists so runStepperTrial itself can stay panic-free
-// and directly testable.
-type stepperWorker struct {
-	tc *sim.TrialContext
-}
-
-func newStepperWorker() *stepperWorker { return &stepperWorker{tc: sim.NewTrialContext()} }
-
-// run executes one trial, isolating a panic as the trial's error
-// outcome. A panicking trial may have left the worker's TrialContext
-// scratch (whiteboard array, RNG streams, walker tables) in any
-// state, so the context is quarantined — replaced wholesale, exactly
-// like a poisoned lane slot — and never re-armed.
-func (w *stepperWorker) run(b Batch, spec algo.Spec, opts algo.BuildOpts, trial int) (o Outcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.tc = sim.NewTrialContext()
-			o = errOutcome(sim.PanicError(r))
-		}
-	}()
-	return runStepperTrial(b, spec, opts, w.tc, trial)
-}
-
-// runStepperTrial executes one trial on the stepper fast path,
-// reusing the worker-owned trial context's scratch (whiteboards,
-// neighbor-ID buffers, PCG state). A mid-batch builder error must not
-// leak execution resources a partially built pair may own, nor leave
-// the worker's context in a state that influences later trials: any
-// returned steppers are finished, the context is untouched (its
-// scratch is re-armed by the next successful run), and the trial
-// counts as an error outcome.
-func runStepperTrial(b Batch, spec algo.Spec, opts algo.BuildOpts, tc *sim.TrialContext, trial int) Outcome {
-	if f := b.Faults; f != nil {
-		if err := f.armError(trial); err != nil {
-			return errOutcome(err)
-		}
-	}
-	team, err := spec.Team(opts, b.teamSize())
-	if err != nil {
-		// Team finishes anything it built before failing.
-		return errOutcome(err)
-	}
-	if f := b.Faults; f != nil {
-		for i, st := range team {
-			team[i] = wrapFault(st)
-		}
-		f.armSteppers(trial, team)
-	}
-	res, err := tc.RunTeam(trialConfig(b, spec, trial), team)
-	return OutcomeOf(res, err)
 }
 
 // OutcomeOf reduces one simulation result (or its error) to an
@@ -794,7 +697,7 @@ func runStepperTrial(b Batch, spec algo.Spec, opts algo.BuildOpts, tc *sim.Trial
 // experiment harness.
 func OutcomeOf(res *sim.Result, err error) Outcome {
 	if err != nil {
-		return errOutcome(err)
+		return Outcome{Err: true, Msg: err.Error()}
 	}
 	out := Outcome{Moves: res.TotalMoves()}
 	if res.Met {

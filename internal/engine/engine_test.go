@@ -126,6 +126,26 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
+// A negative lane width is a caller error, rejected by every entry
+// point before any trial runs.
+func TestNegativeLaneWidthRejected(t *testing.T) {
+	g, sa, sb := testGraph(t)
+	b := Batch{Graph: g, StartA: sa, StartB: sb, Algorithm: "sweep", Trials: 4, Seed: 1, LaneWidth: -1}
+	const want = "engine: LaneWidth -1 < 0"
+	_, errRun := Run(t.Context(), b)
+	_, errOutcomes := RunOutcomes(t.Context(), b)
+	_, errReduced := RunReduced(t.Context(), b)
+	_, errCheckpointed := RunCheckpointed(t.Context(), b, Checkpoint{}, nil)
+	for name, err := range map[string]error{
+		"Run": errRun, "RunOutcomes": errOutcomes,
+		"RunReduced": errReduced, "RunCheckpointed": errCheckpointed,
+	} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+	}
+}
+
 // Equal start vertices would turn every trial into a round-0 meeting
 // and silently skew aggregates; the batch must be rejected up front
 // with an error that names the problem.

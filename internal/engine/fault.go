@@ -13,12 +13,12 @@ import (
 // differential-testable. A FaultPlan assigns each global trial index
 // a fault kind (or none) as a pure function of (plan seed, trial
 // index), so the same plan produces the same faulted trials at any
-// worker count, lane width, shard split or execution path, and the
+// worker count, lane width or shard split, and the
 // engine's core invariant (byte-identical aggregates regardless of
 // parallelism) extends to batches that panic, stall and fail to
 // build. Faults interpose on steppers: a builder error is vetoed
-// before the pair is built (per-trial path) or armed (lane PreArm
-// hook), and panic/stall faults fire from a wrapper stepper's Next.
+// before the team is armed (the lane's PreArm hook), and panic/stall
+// faults fire from a wrapper stepper's Next.
 
 // FaultKind is one injected failure mode.
 type FaultKind uint8
@@ -134,8 +134,8 @@ func (f *FaultPlan) KindFor(trial int) FaultKind {
 }
 
 // armError returns the injected builder error for the trial, or nil.
-// Both execution paths surface it the same way — before any stepper
-// is built or armed — so the message is path-independent.
+// The lane surfaces it before any stepper is built or armed, so the
+// message is independent of lane width and slot history.
 func (f *FaultPlan) armError(trial int) error {
 	if f.KindFor(trial) == FaultBuildErr {
 		return fmt.Errorf("fault injection: builder error at trial %d", trial)
@@ -145,8 +145,7 @@ func (f *FaultPlan) armError(trial int) error {
 
 // armSteppers points every wrapper stepper of the team at the trial
 // about to run on them, setting (or clearing) their pending fault.
-// Called once per trial: directly on the per-trial path, via the
-// lane's PostArm hook on the lockstep path.
+// Called once per trial, via the lane's PostArm hook.
 func (f *FaultPlan) armSteppers(trial int, team []sim.Stepper) {
 	kind := f.KindFor(trial)
 	for _, st := range team {

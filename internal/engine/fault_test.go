@@ -78,8 +78,8 @@ func TestFaultPlanKindFor(t *testing.T) {
 
 // The tentpole differential: the same fault plan produces the same
 // aggregate JSON — injected panics, stalls, builder errors, messages
-// and all — at every worker count, lane width, the legacy per-trial
-// path, and across a sharded merge.
+// and all — at every worker count and lane width, and across a
+// sharded merge.
 func TestFaultDifferentialAcrossPathsAndShards(t *testing.T) {
 	g, sa, sb := testGraph(t)
 	for _, name := range []string{"whiteboard", "sweep"} {
@@ -91,7 +91,7 @@ func TestFaultDifferentialAcrossPathsAndShards(t *testing.T) {
 		}
 		var ref []byte
 		for _, workers := range []int{1, 4, 16} {
-			for _, width := range []int{-1, 1, 8} {
+			for _, width := range []int{1, 8} {
 				b := base
 				b.Workers = workers
 				b.LaneWidth = width
@@ -185,9 +185,9 @@ func sprintfTrialErr(trial int, prefix string, faultTrial int) string {
 	return "trial " + strconv.Itoa(trial) + ": " + prefix + " " + strconv.Itoa(faultTrial)
 }
 
-// Fault injection interposes on steppers, so a batch that cannot take
-// the stepper path must reject a fault plan instead of silently
-// running clean.
+// Fault plans are defined on the native stepper form, so a batch that
+// runs the Program form must reject a fault plan instead of running
+// it untested.
 func TestFaultPlanRequiresStepperPath(t *testing.T) {
 	g, sa, sb := testGraph(t)
 	b := Batch{

@@ -84,8 +84,8 @@ func (r *Reducer) reset() {
 
 // AddSpan records that this reducer covers the global trial range
 // [lo, hi). The spans list is kept as an arbitrary (possibly
-// overlapping, unsorted) cover and only coalesced on read — every
-// execution path calls AddSpan once per 64-trial chunk, and a
+// overlapping, unsorted) cover and only coalesced on read — the
+// lane scheduler calls AddSpan once per 64-trial chunk, and a
 // 10M-trial run making each add re-sort the list would turn
 // bookkeeping into the bottleneck. The common case (a worker
 // claiming adjacent chunks) still collapses on the spot.
@@ -191,7 +191,7 @@ func (r *Reducer) Aggregate(b Batch) *Aggregate {
 // per-worker reducers: engine-owned memory is bounded by the number
 // of distinct observed values instead of the trial count, which is
 // what makes 10M-trial batches practical. Results are deterministic
-// at any worker count, lane width and path choice; see the file
+// at any worker count, lane width and strategy form; see the file
 // comment for the one documented Mean-rounding divergence from Run.
 // Cancelling ctx returns (nil, ctx.Err()); callers that want the
 // partial state use RunReduced.
@@ -229,8 +229,8 @@ func RunReduced(ctx context.Context, b Batch) (*Reducer, error) {
 	return m, ctx.Err()
 }
 
-// chunkCollector is the per-worker sink of the reduced execution
-// paths: outcomes accumulate into r, and endChunk stamps each
+// chunkCollector is the per-worker lane sink of the reduced runs:
+// outcomes accumulate into r, and endChunk stamps each
 // completed chunk's trial-span coverage. In journal mode (out
 // non-nil) the collector instead flushes r to the shared journal
 // after every chunk and starts empty, so worker-local state stays
@@ -240,7 +240,6 @@ func RunReduced(ctx context.Context, b Batch) (*Reducer, error) {
 type chunkCollector struct {
 	r   *Reducer
 	out func(*Reducer)
-	sw  *stepperWorker // legacy per-trial stepper path only
 }
 
 func (c *chunkCollector) endChunk(from, to int) {
@@ -252,40 +251,15 @@ func (c *chunkCollector) endChunk(from, to int) {
 }
 
 // runReducedRange executes global trials [lo, hi) of the batch on
-// whichever path the batch selects, reducing per worker, and returns
-// the workers' reducer parts (empty husks in journal mode — the data
-// went to out). Coverage spans are stamped per completed chunk, so a
-// cancelled run's parts say exactly which trials they absorbed.
+// the lockstep lanes, reducing per worker, and returns the workers'
+// reducer parts (empty husks in journal mode — the data went to out).
+// Coverage spans are stamped per completed chunk, so a cancelled
+// run's parts say exactly which trials they absorbed.
 func runReducedRange(ctx context.Context, b Batch, spec algo.Spec, opts algo.BuildOpts, lo, hi int, out func(*Reducer)) []*Reducer {
-	newCollector := func() *chunkCollector { return &chunkCollector{r: NewReducer(), out: out} }
-	var cs []*chunkCollector
-	switch {
-	case !b.useSteppers(spec):
-		cs = chunkedWorkers(ctx, b.Workers, hi-lo, newCollector,
-			func(c *chunkCollector, from, to int) {
-				for i := from; i < to; i++ {
-					c.r.Add(lo+i, runTrial(b, spec, opts, lo+i))
-				}
-				c.endChunk(lo+from, lo+to)
-			})
-	case b.laneWidth() > 0:
-		cs = runLanes(ctx, b, spec, opts, b.laneWidth(), lo, hi, newCollector,
-			func(c *chunkCollector, trial int, o Outcome) { c.r.Add(trial, o) },
-			func(c *chunkCollector, from, to int) { c.endChunk(from, to) })
-	default: // legacy one-trial-at-a-time stepper path
-		cs = chunkedWorkers(ctx, b.Workers, hi-lo,
-			func() *chunkCollector {
-				c := newCollector()
-				c.sw = newStepperWorker()
-				return c
-			},
-			func(c *chunkCollector, from, to int) {
-				for i := from; i < to; i++ {
-					c.r.Add(lo+i, c.sw.run(b, spec, opts, lo+i))
-				}
-				c.endChunk(lo+from, lo+to)
-			})
-	}
+	cs := runLanes(ctx, b, spec, opts, lo, hi,
+		func() *chunkCollector { return &chunkCollector{r: NewReducer(), out: out} },
+		func(c *chunkCollector, trial int, o Outcome) { c.r.Add(trial, o) },
+		func(c *chunkCollector, from, to int) { c.endChunk(from, to) })
 	parts := make([]*Reducer, len(cs))
 	for i, c := range cs {
 		parts[i] = c.r

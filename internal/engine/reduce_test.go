@@ -52,8 +52,8 @@ func TestRunStreamingMatchesRun(t *testing.T) {
 }
 
 // The streaming path must itself be byte-identical across worker
-// counts, lane widths, and the per-trial fallback paths — the merge
-// is partition-insensitive by construction, and this pins it.
+// counts, lane widths, and the Program form — the merge is
+// partition-insensitive by construction, and this pins it.
 func TestRunStreamingDeterministicAcrossWorkersAndWidths(t *testing.T) {
 	g, sa, sb := testGraph(t)
 	for _, name := range []string{"whiteboard", "noboard"} {
@@ -64,7 +64,7 @@ func TestRunStreamingDeterministicAcrossWorkersAndWidths(t *testing.T) {
 		}
 		var ref []byte
 		for _, workers := range []int{1, 4, 16} {
-			for _, width := range []int{-1, 1, 8, 64} {
+			for _, width := range []int{1, 8, 64} {
 				b := base
 				b.Workers = workers
 				b.LaneWidth = width

@@ -35,7 +35,7 @@ func aggJSON(t *testing.T, b Batch) []byte {
 // The differential guarantee of the refactor: a scenario that is
 // observably the legacy two-agent setting aggregates byte-identically
 // to the same batch spelled with StartA/StartB — across worker
-// counts, lane widths, and all three execution paths, for both paper
+// counts, lane widths, and both strategy forms, for both paper
 // algorithms.
 func TestLegacyScenarioByteIdenticalAcrossPaths(t *testing.T) {
 	g, sa, sb := testGraph(t)
@@ -50,7 +50,6 @@ func TestLegacyScenarioByteIdenticalAcrossPaths(t *testing.T) {
 		{"workers4/lane1", 4, 1, false},
 		{"workers16/lane8", 16, 8, false},
 		{"workers4/lane8", 4, 8, false},
-		{"workers4/legacy-stepper", 4, -1, false},
 		{"workers4/program", 4, 0, true},
 	}
 	for _, name := range []string{"whiteboard", "noboard"} {

@@ -1,10 +1,9 @@
 // Package harness defines the experiment suite that validates every
-// quantitative claim of the paper (see DESIGN.md §4 for the index):
-// E1–E3 validate the upper-bound theorems' scaling, E4–E5 the Sample
-// and Construct lemmas, E6–E9 the four lower bounds, E10 the w.h.p.
+// quantitative claim of the paper (All lists it in order): E1–E3
+// validate the upper-bound theorems' scaling, E4–E5 the Sample and
+// Construct lemmas, E6–E9 the four lower bounds, E10 the w.h.p.
 // claims, and A1–A2 the design-choice ablations. Each experiment
-// produces a Table that cmd/experiments prints and EXPERIMENTS.md
-// records.
+// produces a Table that cmd/experiments prints.
 package harness
 
 import (
@@ -34,8 +33,8 @@ type Config struct {
 	// Workers bounds trial parallelism (default GOMAXPROCS).
 	Workers int
 	// LaneWidth selects the engine's lockstep lane width (0 = the
-	// engine default, < 0 = the per-trial stepper path). Like Workers
-	// it never affects results, only wall-clock time and memory.
+	// engine default; negative widths are rejected). Like Workers it
+	// never affects results, only wall-clock time and memory.
 	LaneWidth int
 	// ShardIndex and ShardCount split every engine batch the suite
 	// submits across independent processes (see engine.Batch): shard
@@ -46,7 +45,7 @@ type Config struct {
 	// (runTrials) are not sharded.
 	ShardIndex, ShardCount int
 	// Params selects the algorithm constants (default
-	// core.PracticalParams; see DESIGN.md on constant scaling).
+	// core.PracticalParams; see it on constant scaling).
 	Params core.Params
 }
 
@@ -69,7 +68,7 @@ func (c Config) withDefaults() Config {
 
 // Experiment is one entry of the suite.
 type Experiment struct {
-	// ID is the DESIGN.md identifier ("E1" … "E10", "A1", "A2").
+	// ID is the suite identifier ("E1" … "E12", "S1", "A1", "A2").
 	ID string
 	// Title is a one-line description.
 	Title string

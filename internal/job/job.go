@@ -264,7 +264,8 @@ type Spec struct {
 
 // ExecOptions are the per-process execution knobs that never affect
 // results (and therefore stay out of the canonical encoding): worker
-// parallelism and lockstep lane width.
+// parallelism and lockstep lane width (engine.Batch's Workers and
+// LaneWidth, passed through unchanged).
 type ExecOptions struct {
 	Workers   int
 	LaneWidth int

@@ -215,6 +215,18 @@ func TestHardWorkloads(t *testing.T) {
 	}
 }
 
+// TestNegativeLaneWidthRejected: ExecOptions.LaneWidth reaches the
+// engine unchanged, so a negative width fails the job with the
+// engine's error instead of picking another scheduler.
+func TestNegativeLaneWidthRejected(t *testing.T) {
+	w := job.Workload{Kind: "planted", N: 64, D: 8, Seed: 3}
+	spec := job.Spec{Algorithm: "sweep", Workload: &w, Trials: 4, Seed: 12}
+	_, err := job.Run(context.Background(), spec, job.ExecOptions{LaneWidth: -1})
+	if err == nil || !strings.Contains(err.Error(), "engine: LaneWidth -1 < 0") {
+		t.Fatalf("err = %v, want the engine's LaneWidth rejection", err)
+	}
+}
+
 // TestRunMatchesEngineReduced pins the contract the server's
 // byte-identity guarantee rests on: job.Run produces the same
 // aggregate JSON as hand-building the batch and calling

@@ -181,7 +181,7 @@ func (l *TrialLane) tickSlot(s int) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			l.quarantine(s)
-			done, err = true, PanicError(r)
+			done, err = true, panicError(r)
 		}
 	}()
 	return l.tcs[s].rt.tick(&l.res[s])
@@ -226,7 +226,7 @@ func (l *TrialLane) armSlot(s int, cfg Config, seed uint64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			l.quarantine(s)
-			err = PanicError(r)
+			err = panicError(r)
 		}
 	}()
 	return l.arm(s, cfg, seed)

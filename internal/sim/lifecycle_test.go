@@ -87,8 +87,8 @@ type stayerStepper struct{}
 func (stayerStepper) Init(*StepContext) {}
 func (stayerStepper) Next(*View) Action { return Stay() }
 
-// endlessMover is a Program that never returns: the adapter hosting it
-// must be torn down by the runtime when the trial ends early.
+// endlessMover is a Program that never returns: the coroutine hosting
+// it must be torn down by the runtime when the trial ends early.
 func endlessMover(e *Env) {
 	for {
 		if err := e.MoveToPort(0); err != nil {
@@ -99,9 +99,10 @@ func endlessMover(e *Env) {
 
 // TestProgramAdaptersDoNotLeakOnEarlyTrialEnd is the leak gate of the
 // stepper lifecycle: a batch whose every trial times out mid-program
-// must leave no adapter goroutines (channel path) or live iter.Pull
-// coroutines (pull path) behind. Both count as goroutines once
-// started, so gort.NumGoroutine is the measurement for both.
+// must leave no live iter.Pull coroutines behind, whether the programs
+// enter through Run or through RunSteppers with explicit
+// NewProgramStepper hosts. A started coroutine counts as a goroutine,
+// so gort.NumGoroutine is the measurement.
 func TestProgramAdaptersDoNotLeakOnEarlyTrialEnd(t *testing.T) {
 	g, err := graph.Complete(4)
 	if err != nil {
@@ -113,12 +114,12 @@ func TestProgramAdaptersDoNotLeakOnEarlyTrialEnd(t *testing.T) {
 		name string
 		run  func(seed uint64) (*Result, error)
 	}{
-		{"goroutine adapter", func(seed uint64) (*Result, error) {
+		{"Run", func(seed uint64) (*Result, error) {
 			c := cfg
 			c.Seed = seed
 			return Run(c, endlessMover, endlessMover)
 		}},
-		{"coroutine adapter", func(seed uint64) (*Result, error) {
+		{"RunSteppers", func(seed uint64) (*Result, error) {
 			c := cfg
 			c.Seed = seed
 			return RunSteppers(c, NewProgramStepper(endlessMover), NewProgramStepper(endlessMover))
@@ -135,9 +136,8 @@ func TestProgramAdaptersDoNotLeakOnEarlyTrialEnd(t *testing.T) {
 				t.Fatalf("%s seed %d: trial did not time out as designed: %+v", p.name, seed, res)
 			}
 		}
-		// Teardown is synchronous (Finish blocks on the goroutine's
-		// exit; the coroutine unwinds inline), but give the scheduler a
-		// grace window before declaring a leak.
+		// Teardown is synchronous (the coroutine unwinds inline), but
+		// give the scheduler a grace window before declaring a leak.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			gort.GC()

@@ -2,41 +2,37 @@ package sim
 
 import "iter"
 
-// NewProgramStepper adapts a direct-style Program into a Stepper
-// without giving up the stepper fast path: the program runs on a
-// lightweight coroutine (iter.Pull), so the per-acting-round handoff
-// between the lockstep loop and the program is a direct context
-// switch instead of the two unbuffered-channel operations (plus
-// scheduler wakeups) the goroutine path pays. Observable behavior —
-// actions, RNG draws, round accounting, panic and Halt handling — is
-// identical to running the same Program under Run; the differential
-// suite in internal/engine holds the two paths to byte-identical
-// results.
+// NewProgramStepper adapts a direct-style Program into a Stepper: the
+// program runs on a lightweight coroutine (iter.Pull), so the
+// per-acting-round handoff between the lockstep loop and the program
+// is a direct context switch. This is the only Program host — Run,
+// the engine's Program form (Batch.ForceProgramPath, and specs
+// without a stepper builder) and SteppersFromPrograms all use it — so
+// a Program runs on exactly the loop a native Stepper runs on.
 //
-// This is how the paper's two algorithms ride the fast path while
+// This is how the paper's Program reference implementations run while
 // staying in direct style; strategies wanting the last word in trial
 // throughput implement Stepper natively instead (see
 // internal/baseline for examples, and README.md, "Writing a fast
 // strategy").
 func NewProgramStepper(prog Program) Stepper {
-	return &pullProgramStepper{prog: prog}
+	return &programStepper{prog: prog}
 }
 
-// pullProgramStepper hosts a Program on a coroutine. Control moves
+// programStepper hosts a Program on a coroutine. Control moves
 // program-ward on next() (inside Next) and runtime-ward on yield
-// (inside Env.step), so exactly one of the two is ever running — the
-// same lockstep contract as the channel adapter, minus the scheduler.
-type pullProgramStepper struct {
+// (inside Env.step), so exactly one of the two is ever running.
+type programStepper struct {
 	prog    Program
 	env     *Env
 	cur     *View // the runtime's view for the acting round being processed
 	next    func() (Action, bool)
 	stopFn  func()
-	yieldFn func(Action) bool
-	final   Action // exit-derived action (halt or panic) once the coroutine ends
+	yieldFn func(Action) bool // false once the run is shutting down
+	final   Action            // exit-derived action (halt or panic) once the coroutine ends
 }
 
-func (ps *pullProgramStepper) Init(ctx *StepContext) {
+func (ps *programStepper) Init(ctx *StepContext) {
 	ps.env = &Env{
 		name:    ctx.Name,
 		nPrime:  ctx.NPrime,
@@ -44,21 +40,17 @@ func (ps *pullProgramStepper) Init(ctx *StepContext) {
 		boards:  ctx.Whiteboards,
 		rng:     ctx.Rand,
 		scratch: ctx.Scratch,
-		pull:    ps,
+		host:    ps,
 	}
 	seq := func(yield func(Action) bool) {
 		ps.yieldFn = yield
-		defer func() {
-			// A Finish()-driven unwind (stopSignal) also lands here;
-			// its final action is never consumed.
-			ps.final, _ = exitAction(recover())
-		}()
+		defer func() { ps.final = exitAction(recover()) }()
 		ps.prog(ps.env)
 	}
 	ps.next, ps.stopFn = iter.Pull(iter.Seq[Action](seq))
 }
 
-func (ps *pullProgramStepper) Next(v *View) Action {
+func (ps *programStepper) Next(v *View) Action {
 	ps.cur = v
 	act, ok := ps.next()
 	if !ok {
@@ -69,14 +61,10 @@ func (ps *pullProgramStepper) Next(v *View) Action {
 	return act
 }
 
-// yield hands act to the runtime and suspends the program until its
-// next acting round; it reports false when the run is shutting down.
-func (ps *pullProgramStepper) yield(act Action) bool { return ps.yieldFn(act) }
-
 // Finish unwinds the coroutine if the program is still live
 // (idempotent, safe before Init) — the Finisher hook the runtime
 // calls on every exit path.
-func (ps *pullProgramStepper) Finish() {
+func (ps *programStepper) Finish() {
 	if ps.stopFn != nil {
 		ps.stopFn()
 	}

@@ -11,14 +11,16 @@
 //
 // Agents come in two styles sharing one lockstep loop:
 //
-//   - Program: ordinary Go functions against an Env handle. Run drives
-//     each program on its own goroutine with a channel handoff per
-//     acting round (the classic path); NewProgramStepper instead hosts
-//     the same function on a lightweight coroutine for the fast path.
 //   - Stepper: explicit state machines (Next(view) action) that the
-//     runtime steps inline — no goroutines, no channels, and with
-//     per-trial scratch reuse via TrialContext. This is the hot path
-//     for batch trials.
+//     runtime steps inline, with per-trial scratch reuse via
+//     TrialContext. This is the hot path for batch trials.
+//   - Program: ordinary Go functions against an Env handle, hosted on
+//     a lightweight coroutine that makes them Steppers
+//     (NewProgramStepper). Run is RunSteppers over two such hosts.
+//
+// A solo run (Run, RunSteppers, RunTeam) and the batch engine's
+// TrialLane tick the same runtime, so every entry point executes the
+// same schedule.
 //
 // Multi-round waits are fast-forwarded when neither agent needs to
 // act, so wait-heavy algorithms (such as the paper's no-whiteboard
@@ -171,16 +173,16 @@ func DefaultMaxRounds(g *graph.Graph) int64 {
 // Run executes the two programs on cfg's graph until rendezvous, both
 // agents halting, or the round budget expiring. It returns an error for
 // invalid configurations or if a program panics. Each program runs on
-// its own goroutine with a channel handoff per acting round; batch
-// callers should prefer the stepper path (RunSteppers with steppers or
-// NewProgramStepper adapters), which steps agents inline.
+// its own coroutine (NewProgramStepper), stepped by the same lockstep
+// loop as RunSteppers; batch callers reuse scratch across trials with
+// a TrialContext or a TrialLane instead.
 func Run(cfg Config, progA, progB Program) (*Result, error) {
 	var sa, sb Stepper
 	if progA != nil {
-		sa = newChanProgramStepper(progA)
+		sa = NewProgramStepper(progA)
 	}
 	if progB != nil {
-		sb = newChanProgramStepper(progB)
+		sb = NewProgramStepper(progB)
 	}
 	return runTeam(cfg, NewTrialContext(), []Stepper{sa, sb})
 }
@@ -190,7 +192,7 @@ func Run(cfg Config, progA, progB Program) (*Result, error) {
 func runTeam(cfg Config, tc *TrialContext, team []Stepper) (*Result, error) {
 	// Lifecycle guarantee first, before any validation return: every
 	// stepper handed to a run gets its Finish hook on every exit path,
-	// so adapter goroutines/coroutines never outlive the run (or touch
+	// so Program coroutines never outlive the run (or touch
 	// tc's buffers after they are handed to the next trial). See
 	// Finisher. Finish order is reverse team order, matching the
 	// stacked defers of the historical two-agent path.

@@ -486,8 +486,8 @@ func TestMeetingFromRoundSkipsTransients(t *testing.T) {
 	}
 }
 
-// Agent goroutines must not leak: after many runs the goroutine count
-// stays flat.
+// Program coroutines must not leak: after many runs the goroutine
+// count stays flat.
 func TestNoGoroutineLeaks(t *testing.T) {
 	g := mustRing(t, 6)
 	before := goruntime.NumGoroutine()

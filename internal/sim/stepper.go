@@ -9,9 +9,8 @@ import (
 // Stepper is an agent algorithm in state-machine style: the lockstep
 // runtime calls Next once per acting round with the agent's current
 // observation and receives the action to perform. Steppers run inline
-// on the runtime's goroutine — no goroutines, no channel handoffs —
-// which makes them the fast path for batch trials (see
-// TrialContext.RunSteppers and the engine's automatic path selection).
+// on the runtime's goroutine, which makes native ones the fast path
+// for batch trials (see TrialContext.RunSteppers and TrialLane).
 //
 // A Stepper is built fresh for every run and may keep arbitrary state
 // between Next calls. Init is called exactly once, before round 0,
@@ -21,7 +20,7 @@ import (
 //
 // Direct-style Programs remain fully supported: NewProgramStepper
 // adapts any Program into a Stepper via a lightweight coroutine, and
-// Run drives Programs through the classic goroutine-backed adapter.
+// Run drives a Program pair through that adapter.
 type Stepper interface {
 	// Init receives the run-constant context before round 0. The
 	// context's fields (including ctx.Rand) are only valid for this
@@ -213,9 +212,9 @@ type Reusable interface {
 // every exit path — normal completion, MaxRounds exhaustion, the peer
 // halting, an abort, and even configuration-validation failure before
 // round 0. Finish must be idempotent and safe to call before Init.
-// The Program adapters implement it to tear down their goroutine and
-// iter.Pull coroutine; native steppers normally have nothing to
-// release and simply don't implement it.
+// The Program adapter implements it to unwind its iter.Pull
+// coroutine; native steppers normally have nothing to release and
+// simply don't implement it.
 type Finisher interface{ Finish() }
 
 // Finish releases s's execution resources if it implements Finisher —
@@ -306,7 +305,7 @@ func (tc *TrialContext) randFor(i int, seed, stream uint64) *rand.Rand {
 
 // RunSteppers executes two stepper agents on cfg's graph until
 // rendezvous, both agents halting, or the round budget expiring —
-// the goroutine-free counterpart of Run, reusing tc's scratch. It
+// the Stepper counterpart of Run, reusing tc's scratch. It
 // returns an error for invalid configurations or if a stepper aborts.
 func (tc *TrialContext) RunSteppers(cfg Config, a, b Stepper) (*Result, error) {
 	tc.teamBuf = append(tc.teamBuf[:0], a, b)

@@ -137,53 +137,67 @@ func (s *colocatedWriter) Next(v *View) Action {
 	}
 }
 
-// The coroutine adapter must be observationally identical to the
-// goroutine adapter for the same program, across normal runs, early
-// halts, and panics.
-func TestProgramStepperMatchesGoroutinePath(t *testing.T) {
+// haltAfterStays is the stepper twin of a Program that stays n rounds
+// and returns.
+type haltAfterStays struct{ n int }
+
+func (s *haltAfterStays) Init(*StepContext) {}
+
+func (s *haltAfterStays) Next(*View) Action {
+	if s.n == 0 {
+		return Halt()
+	}
+	s.n--
+	return Stay()
+}
+
+// A Program on its coroutine host must act exactly like an
+// independently written native Stepper twin: same moves and RNG draws
+// (randomWalk vs walkStepper), the same round for a program that
+// returns (quitter vs haltAfterStays), and a program panic surfacing
+// as the agent's error with the panic value.
+func TestProgramMatchesNativeStepperTwin(t *testing.T) {
 	g := mustComplete(t, 12)
 	cfg := Config{Graph: g, StartA: 0, StartB: 7, Seed: 42, MaxRounds: 100000}
-	viaChan, err := Run(cfg, randomWalk, randomWalk)
+	viaProgram, err := Run(cfg, randomWalk, randomWalk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaPull, err := RunSteppers(cfg, NewProgramStepper(randomWalk), NewProgramStepper(randomWalk))
+	viaStepper, err := RunSteppers(cfg, &walkStepper{}, &walkStepper{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resultsEqual(viaChan, viaPull) {
-		t.Fatalf("paths diverge: %+v vs %+v", viaChan, viaPull)
+	if !resultsEqual(viaProgram, viaStepper) {
+		t.Fatalf("program and stepper twins diverge: %+v vs %+v", viaProgram, viaStepper)
 	}
 
-	// Program panic surfaces identically.
+	// Program panic surfaces as agent a's error.
 	bomber := func(e *Env) { e.Stay(); panic("boom") }
-	_, errChan := Run(Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 10}, bomber, stayer)
-	_, errPull := RunSteppers(Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 10}, NewProgramStepper(bomber), NewProgramStepper(stayer))
-	if errChan == nil || errPull == nil {
-		t.Fatalf("panic lost: chan=%v pull=%v", errChan, errPull)
-	}
-	if !strings.Contains(errPull.Error(), "boom") || errChan.Error() != errPull.Error() {
-		t.Fatalf("panic errors differ: %q vs %q", errChan, errPull)
+	_, err = Run(Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 10}, bomber, stayer)
+	if want := "sim: agent a: program panic: boom"; err == nil || err.Error() != want {
+		t.Fatalf("panic error = %v, want %q", err, want)
 	}
 
-	// Early return / Halt land on the same round.
+	// Early return lands on the same round as the stepper's Halt.
 	quitter := func(e *Env) { e.Stay(); e.Stay() }
-	rc, err := Run(Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 100}, quitter, quitter)
+	short := Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 100}
+	rp, err := Run(short, quitter, quitter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := RunSteppers(Config{Graph: g, StartA: 0, StartB: 7, MaxRounds: 100}, NewProgramStepper(quitter), NewProgramStepper(quitter))
+	rs, err := RunSteppers(short, &haltAfterStays{n: 2}, &haltAfterStays{n: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resultsEqual(rc, rp) {
-		t.Fatalf("halt timing diverges: %+v vs %+v", rc, rp)
+	if !resultsEqual(rp, rs) || !rp.A.Halted || !rp.B.Halted {
+		t.Fatalf("halt timing diverges: program %+v vs stepper %+v", rp, rs)
 	}
 }
 
-// Property: arbitrary seeds agree between the two Program transports,
-// including whiteboard traffic.
-func TestProgramStepperEquivalenceProperty(t *testing.T) {
+// Property: Programs hosted on a reused width-1 TrialLane — the path
+// an engine batch takes for the Program form — reproduce fresh solo
+// Run calls for arbitrary seeds, whiteboard traffic included.
+func TestProgramsOnLaneMatchRunProperty(t *testing.T) {
 	g := mustComplete(t, 9)
 	mkChaotic := func() Program {
 		return func(e *Env) {
@@ -207,18 +221,30 @@ func TestProgramStepperEquivalenceProperty(t *testing.T) {
 			}
 		}
 	}
+	cfg := Config{
+		Graph: g, StartA: 3, StartB: 6,
+		NeighborIDs: true, Whiteboards: true,
+		MaxRounds: 300, DisableMeeting: true,
+	}
+	lane := NewTrialLane(1, func() (Stepper, Stepper, error) {
+		return NewProgramStepper(mkChaotic()), NewProgramStepper(mkChaotic()), nil
+	})
+	defer lane.Close()
 	check := func(seed uint64) bool {
-		cfg := Config{
-			Graph: g, StartA: 3, StartB: 6,
-			NeighborIDs: true, Whiteboards: true,
-			Seed: seed, MaxRounds: 300, DisableMeeting: true,
-		}
-		rc, err1 := Run(cfg, mkChaotic(), mkChaotic())
-		rp, err2 := RunSteppers(cfg, NewProgramStepper(mkChaotic()), NewProgramStepper(mkChaotic()))
-		if err1 != nil || err2 != nil {
+		c := cfg
+		c.Seed = seed
+		solo, err := Run(c, mkChaotic(), mkChaotic())
+		if err != nil {
 			return false
 		}
-		return resultsEqual(rc, rp)
+		var onLane *Result
+		lane.Run(cfg, func(int) uint64 { return seed }, 0, 1, func(_ int, res *Result, err error) {
+			if err == nil {
+				r := *res
+				onLane = &r
+			}
+		})
+		return onLane != nil && resultsEqual(solo, onLane)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
