@@ -143,8 +143,10 @@ func uncovered(lo, hi int, covered []TrialSpan) []TrialSpan {
 }
 
 // journal is the shared checkpoint state the workers' chunk flushes
-// merge into. The mutex is cold: it is taken once per 64-trial chunk
-// and once per journal rewrite, never per trial.
+// merge into. The mutex is cold: it is taken once per claimed chunk
+// and once per journal rewrite, never per trial. Chunks hold 64
+// trials except over a multi-worker batch's last 128·workers or so,
+// where they shrink toward single trials (see chunkedWorkers).
 type journal struct {
 	mu    sync.Mutex
 	b     Batch

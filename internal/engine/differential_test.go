@@ -2,7 +2,9 @@ package engine
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand/v2"
+	"path/filepath"
 	"testing"
 
 	"fnr/internal/algo"
@@ -222,6 +224,67 @@ func TestLaneWidthAndWorkersDeterministic(t *testing.T) {
 					t.Errorf("%s workers=%d width=%d: aggregate JSON differs:\n%s\nreference: %s",
 						name, workers, width, agg, refAgg)
 				}
+			}
+		}
+	}
+}
+
+// Batches of a few trials split across every worker (see
+// chunkedWorkers), so their per-worker parts merge at sizes a fixed
+// 64-trial claim never produced. Within each entry point — Run, the
+// streaming reducer, and the checkpoint journal — the aggregate JSON
+// must be byte-identical at 1, 2 and 3 workers. Entry points are
+// compared only with themselves: the outcome slice's Welford mean and
+// the reducer's multiset mean may differ by a few ULPs.
+func TestSmallBatchesIdenticalAcrossWorkers(t *testing.T) {
+	g, sa, sb := testGraph(t)
+	entries := []struct {
+		name string
+		run  func(b Batch) (*Aggregate, error)
+	}{
+		{"Run", func(b Batch) (*Aggregate, error) { return Run(t.Context(), b) }},
+		{"RunReduced", func(b Batch) (*Aggregate, error) {
+			r, err := RunReduced(t.Context(), b)
+			if err != nil {
+				return nil, err
+			}
+			return r.Aggregate(b), nil
+		}},
+		{"RunCheckpointed", func(b Batch) (*Aggregate, error) {
+			path := filepath.Join(t.TempDir(), "journal.ckpt")
+			r, err := RunCheckpointed(t.Context(), b, Checkpoint{Path: path, Every: 2}, nil)
+			if err != nil {
+				return nil, err
+			}
+			return r.Aggregate(b), nil
+		}},
+	}
+	for _, name := range []string{"whiteboard", "noboard", "sweep"} {
+		for _, trials := range []int{1, 3, 4, 10, 65} {
+			for _, e := range entries {
+				t.Run(fmt.Sprintf("%s/%d/%s", name, trials, e.name), func(t *testing.T) {
+					var ref []byte
+					for _, workers := range []int{1, 2, 3} {
+						agg, err := e.run(Batch{
+							Graph: g, StartA: sa, StartB: sb,
+							Algorithm: name, Delta: g.MinDegree(),
+							Trials: trials, Seed: 31, MaxRounds: 1 << 22,
+							Workers: workers,
+						})
+						if err != nil {
+							t.Fatalf("workers=%d: %v", workers, err)
+						}
+						blob, err := json.Marshal(agg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ref == nil {
+							ref = blob
+						} else if string(blob) != string(ref) {
+							t.Errorf("workers=%d: aggregate differs from 1 worker:\n%s\nreference: %s", workers, blob, ref)
+						}
+					}
+				})
 			}
 		}
 	}

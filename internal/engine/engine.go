@@ -380,20 +380,29 @@ func TrialsScratch[S, T any](workers, n int, newScratch func() S, f func(scratch
 	return out
 }
 
-// claimChunk is the trial-index chunk size workers claim per atomic
-// operation: large enough that the shared cursor is off the hot path
-// (one contended add per 64 trials instead of per trial), small
-// enough that a straggling chunk can't idle the other workers of an
-// unbalanced batch for long.
+// claimChunk is the largest trial-index chunk a worker claims per
+// cursor operation: large enough that the shared cursor is off the
+// hot path of a long batch (one contended claim per 64 trials instead
+// of per trial). The serial path walks the whole batch in chunks of
+// exactly this size.
 const claimChunk = 64
 
 // chunkedWorkers fans the index range [0, n) across a pool of
-// `workers` goroutines (≤ 0 = GOMAXPROCS) that claim claimChunk-sized
-// chunks from a shared cursor, calling run(scratch, from, to) for
-// each claimed chunk, and returns every worker's scratch once all
-// work is done (the streaming reducers merge them). Chunk claiming
-// partitions [0, n) exactly — every index is processed once — and
-// which worker claims which chunk must never affect results.
+// `workers` goroutines (≤ 0 = GOMAXPROCS) that claim chunks from a
+// shared cursor, calling run(scratch, from, to) for each claimed
+// chunk, and returns every worker's scratch once all work is done
+// (the streaming reducers merge them). Chunk claiming partitions
+// [0, n) exactly — every index is processed once — and which worker
+// claims which chunk must never affect results.
+//
+// The pool uses guided self-scheduling: a claim at cursor from takes
+// min(claimChunk, max(1, (n-from)/(2·workers))) indices. A long batch
+// claims claimChunk-sized chunks until its tail, where the chunks
+// shrink so no worker idles while another finishes a large one; a
+// batch of a few dozen trials splits down to single trials, so it
+// still uses every worker. A chunk's size depends only on the cursor,
+// so sizes never grow as the cursor advances. A single worker keeps
+// fixed claimChunk-sized chunks: it has no one to balance against.
 //
 // Cancelling ctx stops the pool at the next chunk-claim boundary:
 // chunks already claimed run to completion (a cancel never tears a
@@ -435,11 +444,15 @@ func chunkedWorkers[S any](ctx context.Context, workers, n int, newScratch func(
 			scratch := newScratch()
 			scratches[w] = scratch
 			for !stopped() {
-				from := int(next.Add(claimChunk)) - claimChunk
+				from := int(next.Load())
 				if from >= n {
 					return
 				}
-				run(scratch, from, min(from+claimChunk, n))
+				size := min(claimChunk, max(1, (n-from)/(2*workers)))
+				if !next.CompareAndSwap(int64(from), int64(from+size)) {
+					continue
+				}
+				run(scratch, from, from+size)
 			}
 		}(w)
 	}

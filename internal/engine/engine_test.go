@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -277,25 +278,49 @@ func TestTrialsChunkedClaimOrdering(t *testing.T) {
 			}
 		}
 	}
-	// chunkedWorkers itself: every index processed exactly once, and
-	// one scratch per live worker.
-	for _, workers := range []int{1, 4} {
-		n := 3*claimChunk + 5
-		var mu sync.Mutex
-		seen := make([]int, n)
-		scratches := chunkedWorkers(t.Context(), workers, n, func() int { return 0 }, func(_ int, from, to int) {
-			mu.Lock()
-			defer mu.Unlock()
-			for i := from; i < to; i++ {
-				seen[i]++
+}
+
+// The pool's claims follow the guided rule: every index is claimed
+// exactly once, no chunk exceeds claimChunk, chunk sizes never grow
+// as the cursor advances, and on several workers a batch far smaller
+// than claimChunk splits into single trials so every worker gets one.
+// All four hold under any goroutine schedule, because a chunk's size
+// depends only on the cursor it was claimed at. Each live worker
+// returns one scratch.
+func TestChunkedWorkersClaimSizes(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for _, n := range []int{1, 4, claimChunk - 1, claimChunk, claimChunk + 1, 256, 5*claimChunk + 17} {
+			var mu sync.Mutex
+			var claims [][2]int
+			scratches := chunkedWorkers(t.Context(), workers, n, func() struct{} { return struct{}{} }, func(_ struct{}, from, to int) {
+				mu.Lock()
+				defer mu.Unlock()
+				claims = append(claims, [2]int{from, to})
+			})
+			if len(scratches) != min(workers, n) {
+				t.Fatalf("workers=%d n=%d: %d scratches", workers, n, len(scratches))
 			}
-		})
-		if len(scratches) != workers {
-			t.Fatalf("workers=%d: %d scratches", workers, len(scratches))
-		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d claimed %d times", workers, i, c)
+			slices.SortFunc(claims, func(a, b [2]int) int { return a[0] - b[0] })
+			next, prevSize := 0, claimChunk
+			for _, c := range claims {
+				from, to := c[0], c[1]
+				if from != next {
+					t.Fatalf("workers=%d n=%d: claim [%d, %d) after cursor %d (claims %v)", workers, n, from, to, next, claims)
+				}
+				size := to - from
+				if size < 1 || size > claimChunk {
+					t.Fatalf("workers=%d n=%d: claim [%d, %d) has size %d, want 1..%d", workers, n, from, to, size, claimChunk)
+				}
+				if size > prevSize {
+					t.Fatalf("workers=%d n=%d: claim [%d, %d) grew to %d after a chunk of %d", workers, n, from, to, size, prevSize)
+				}
+				if n == 4 && workers == 2 && size != 1 {
+					t.Fatalf("workers=2 n=4: claim [%d, %d) has size %d, want single trials", from, to, size)
+				}
+				next, prevSize = to, size
+			}
+			if next != n {
+				t.Fatalf("workers=%d n=%d: claims cover [0, %d)", workers, n, next)
 			}
 		}
 	}

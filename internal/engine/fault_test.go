@@ -10,6 +10,54 @@ import (
 	_ "fnr/internal/baseline"
 )
 
+// ParseFaultPlan decodes strings that arrive in HTTP job specs. It
+// must never panic, every plan it accepts must hold probabilities in
+// [0, 1] summing to at most 1, and printing an accepted plan back in
+// the canonical clause grammar must parse to the same plan.
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, spec := range []string{
+		"panic:p=1e-4,stall:p=1e-4,builderr:p=1e-5",
+		" stall:p=0.5 ",
+		"builderr:p=1",
+		"panic:p=0x1p-4",
+		"panic:p=0.6,stall:p=0.6",
+		"panic:p=NaN",
+		"panic:1e-4",
+		"",
+		",",
+	} {
+		f.Add(spec, uint64(7))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		plan, err := ParseFaultPlan(spec, seed)
+		if err != nil {
+			return
+		}
+		sum := 0.0
+		for _, p := range []float64{plan.PPanic, plan.PStall, plan.PBuildErr} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("spec %q: accepted probability %v outside [0, 1]", spec, p)
+			}
+			sum += p
+		}
+		if sum > 1 {
+			t.Fatalf("spec %q: accepted probabilities summing to %v", spec, sum)
+		}
+		if plan.Seed != seed {
+			t.Fatalf("spec %q: plan seed %d, want %d", spec, plan.Seed, seed)
+		}
+		g := func(p float64) string { return strconv.FormatFloat(p, 'g', -1, 64) }
+		printed := "panic:p=" + g(plan.PPanic) + ",stall:p=" + g(plan.PStall) + ",builderr:p=" + g(plan.PBuildErr)
+		again, err := ParseFaultPlan(printed, seed)
+		if err != nil {
+			t.Fatalf("spec %q: printed plan %q does not parse: %v", spec, printed, err)
+		}
+		if *again != *plan {
+			t.Fatalf("spec %q: printed plan %q parses to %+v, want %+v", spec, printed, *again, *plan)
+		}
+	})
+}
+
 func TestParseFaultPlan(t *testing.T) {
 	plan, err := ParseFaultPlan("panic:p=1e-4,stall:p=1e-4,builderr:p=1e-5", 7)
 	if err != nil {

@@ -73,7 +73,7 @@ func (r *Reducer) Add(trial int, o Outcome) {
 
 // reset empties the reducer, keeping its grown tables' capacity — the
 // per-chunk flush cadence of the checkpoint path would otherwise
-// reallocate every table every 64 trials.
+// reallocate every table every chunk.
 func (r *Reducer) reset() {
 	r.trials, r.met, r.errors = 0, 0, 0
 	r.rounds.reset()
@@ -85,7 +85,8 @@ func (r *Reducer) reset() {
 // AddSpan records that this reducer covers the global trial range
 // [lo, hi). The spans list is kept as an arbitrary (possibly
 // overlapping, unsorted) cover and only coalesced on read — the
-// lane scheduler calls AddSpan once per 64-trial chunk, and a
+// lane scheduler calls AddSpan once per claimed chunk (at most 64
+// trials; smaller over a batch's tail, see chunkedWorkers), and a
 // 10M-trial run making each add re-sort the list would turn
 // bookkeeping into the bottleneck. The common case (a worker
 // claiming adjacent chunks) still collapses on the spot.

@@ -98,34 +98,42 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // Each experiment must run end-to-end in quick mode and produce a
-// non-empty, renderable table. This is the integration test for the
-// whole reproduction pipeline.
+// non-empty, renderable table — the same table at 1 and 2 workers.
+// Quick mode runs batches of 4 trials, which the engine splits across
+// every worker, so this also pins multi-worker merges of small
+// batches. This is the integration test for the whole reproduction
+// pipeline.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick suite still simulates; skipped under -short")
 	}
-	cfg := Config{Quick: true, Seeds: 2}
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			tb, err := e.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
+			var rendered []string
+			for _, workers := range []int{1, 2} {
+				tb, err := e.Run(Config{Quick: true, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", e.ID, workers, err)
+				}
+				if len(tb.Rows) == 0 {
+					t.Fatalf("%s: empty table", e.ID)
+				}
+				if tb.ID != e.ID {
+					t.Fatalf("%s: table ID %q", e.ID, tb.ID)
+				}
+				out := tb.Render()
+				if !strings.Contains(out, e.ID) {
+					t.Fatalf("%s: render missing ID", e.ID)
+				}
+				var buf bytes.Buffer
+				if err := tb.WriteCSV(&buf); err != nil {
+					t.Fatalf("%s: csv: %v", e.ID, err)
+				}
+				rendered = append(rendered, out)
 			}
-			if len(tb.Rows) == 0 {
-				t.Fatalf("%s: empty table", e.ID)
-			}
-			if tb.ID != e.ID {
-				t.Fatalf("%s: table ID %q", e.ID, tb.ID)
-			}
-			out := tb.Render()
-			if !strings.Contains(out, e.ID) {
-				t.Fatalf("%s: render missing ID", e.ID)
-			}
-			var buf bytes.Buffer
-			if err := tb.WriteCSV(&buf); err != nil {
-				t.Fatalf("%s: csv: %v", e.ID, err)
+			if rendered[0] != rendered[1] {
+				t.Errorf("%s: table differs between 1 and 2 workers:\n%s\nvs\n%s", e.ID, rendered[0], rendered[1])
 			}
 		})
 	}

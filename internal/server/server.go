@@ -12,6 +12,7 @@
 // Endpoints:
 //
 //	POST   /v1/batches       submit a job.Spec           → 202 + job id
+//	                         (bodies over 1 MiB        → 413)
 //	GET    /v1/batches       list jobs (id, state)
 //	GET    /v1/batches/{id}  status + aggregate when finished
 //	DELETE /v1/batches/{id}  cancel (idempotent)
@@ -22,6 +23,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -55,6 +57,11 @@ type Config struct {
 	// Cache is the shared graph cache (nil = graphcache.New(0)).
 	Cache *graphcache.Cache
 }
+
+// maxSubmitBytes caps a POST /v1/batches body. A spec is a few
+// hundred bytes; a larger body is refused with 413 before it is
+// buffered.
+const maxSubmitBytes = 1 << 20
 
 // state values of a job's lifecycle.
 const (
@@ -311,10 +318,15 @@ type errorResponse struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec job.Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding spec: " + err.Error()})
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{Error: "decoding spec: " + err.Error()})
 		return
 	}
 	spec = spec.Normalize()

@@ -444,6 +444,36 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyCap: a body past maxSubmitBytes bounces with 413 even
+// when a valid spec follows the padding — the daemon never buffers an
+// unbounded request.
+func TestSubmitBodyCap(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Drain(context.Background())
+
+	spec := `{"algorithm":"sweep","workload":{"kind":"planted","n":64,"d":8},"trials":5}`
+	body := strings.Repeat(" ", 2<<20) + spec
+	resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status = %d, want 413", resp.StatusCode)
+	}
+	// The same spec without the padding is accepted.
+	resp, err = http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("bare spec: status = %d, want 202", resp.StatusCode)
+	}
+}
+
 // TestScenarioSubmitByteIdentical: a k-agent delayed-wakeup scenario
 // spec is a first-class daemon submission — the HTTP aggregate is
 // byte-identical to the same spec run in-process, it echoes the
