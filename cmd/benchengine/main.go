@@ -18,8 +18,9 @@
 // trip per format (io.read_elapsed_ms for binary v2 against
 // io.read_text_elapsed_ms for v1 text). A third preset ("mega",
 // default 10M sweep trials on PlantedMinDegree(64, 8)) exercises the
-// streaming reducer: the batch runs through RunBatchStreaming and the
-// report records the live heap afterwards as a bounded-memory witness.
+// bounded-memory reducer: the batch runs as a job spec through
+// fnr.RunJobBuilt and the report records the live heap afterwards as a
+// bounded-memory witness.
 //
 // A "scenarios" preset reruns the reference workload as explicit
 // job-layer scenarios: a two-agent whiteboard sweep over wake delays
@@ -268,8 +269,8 @@ type scenarioEntry struct {
 	Aggregate *fnr.Aggregate `json:"aggregate"`
 }
 
-// megaReport is the streaming-aggregation preset: a 10M-trial batch
-// on a tiny instance, run through RunBatchStreaming, proving the
+// megaReport is the bounded-memory preset: a 10M-trial batch on a
+// tiny instance, run as a job spec through fnr.RunJobBuilt, proving the
 // engine sustains trial counts whose outcome slice alone would cost
 // hundreds of MB — with bounded engine-owned memory.
 type megaReport struct {
@@ -279,7 +280,7 @@ type megaReport struct {
 	Seed      uint64 `json:"seed"`
 	Workers   int    `json:"workers"`
 	Algorithm string `json:"algorithm"`
-	// ElapsedMS is wall-clock for the streaming batch at the
+	// ElapsedMS is wall-clock for the mega batch at the
 	// configured worker count; TrialsPerSec the resulting throughput.
 	ElapsedMS    int64   `json:"elapsed_ms"`
 	TrialsPerSec float64 `json:"trials_per_sec"`
@@ -413,7 +414,7 @@ func timeSetups(name string, g *fnr.Graph, delta, cycles int, seed uint64) (nati
 // wall-clock milliseconds (minimum 1, so speedup ratios stay finite).
 func timedRun(b fnr.Batch) (*fnr.Aggregate, int64) {
 	start := time.Now()
-	agg, err := fnr.RunBatch(b)
+	agg, err := fnr.RunBatch(context.Background(), b)
 	if err != nil {
 		log.Fatalf("%s: %v", b.Algorithm, err)
 	}

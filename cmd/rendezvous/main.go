@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -158,7 +159,7 @@ func main() {
 // runBatch submits an engine batch and prints the aggregate.
 func runBatch(g *fnr.Graph, sa, sb fnr.Vertex, name string, params fnr.Params, delta, trials int, seed uint64, maxRounds int64, workers int, jsonOut bool) {
 	start := time.Now()
-	agg, err := fnr.RunBatch(fnr.Batch{
+	agg, err := fnr.RunBatch(context.Background(), fnr.Batch{
 		Graph:     g,
 		StartA:    sa,
 		StartB:    sb,

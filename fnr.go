@@ -201,7 +201,8 @@ var (
 	ProgramStepper = sim.NewProgramStepper
 	// AlgorithmSteppersFromPrograms lifts an AlgorithmSpec.Build
 	// function into a BuildSteppers function using ProgramStepper
-	// (RunBatch does this itself for specs without BuildSteppers).
+	// (RunBatch, RunBatchReduced and RunBatchCheckpointed do this
+	// themselves for specs without BuildSteppers).
 	AlgorithmSteppersFromPrograms = algo.SteppersFromPrograms
 	// FinishStepper releases a stepper's execution resources if it
 	// implements StepperFinisher (safe on nil) — call it on steppers
@@ -209,7 +210,8 @@ var (
 	FinishStepper = sim.Finish
 )
 
-// Experiments returns the full reproduction suite (E1–E10, A1, A2).
+// Experiments returns the full reproduction suite (E1–E12, S1, A1,
+// A2).
 func Experiments() []Experiment { return harness.All() }
 
 // ExperimentByID looks up one suite entry.
@@ -322,7 +324,8 @@ type (
 
 // RegisterAlgorithm adds a strategy to the registry (typically from
 // an init function). Registered strategies are resolvable by
-// ParseAlgorithm, runnable by Rendezvous and RunBatch, and listed by
+// ParseAlgorithm, runnable by Rendezvous and the batch calls
+// (RunBatch, RunBatchReduced, RunBatchCheckpointed), and listed by
 // Algorithms. Pick a unique Order ≥ 100: orders rank the listing
 // (and thus Algorithm values), and a duplicate — including the zero
 // value, which collides with AlgWhiteboard's rank — panics at
@@ -334,8 +337,8 @@ type (
 //   - Build (required) constructs direct-style Programs: ordinary Go
 //     functions, easiest to write and read, each hosted on a
 //     coroutine (ProgramStepper) with one context switch per acting
-//     round. Rendezvous runs this form, and so does RunBatch when
-//     BuildSteppers is absent.
+//     round. Rendezvous runs this form, and so do the batch calls
+//     when BuildSteppers is absent.
 //   - BuildSteppers (optional) constructs state-machine Steppers that
 //     the simulator steps inline, with no coroutine and with stepper
 //     reuse across a batch's trials. Batches select this form
@@ -350,8 +353,10 @@ var RegisterAlgorithm = algo.Register
 // algorithm except AlgNoWhiteboard (which needs Delta).
 type Options struct {
 	// Seed drives all agent randomness. Seed 0 is normalized to 1 by
-	// the simulator itself, so every entry point (Rendezvous,
-	// RunBatch, RunPrograms, RunSteppers) agrees on the default run.
+	// the simulator itself, so every single-run entry point
+	// (Rendezvous, RunPrograms, RunSteppers, RunTeam) agrees on the
+	// default run. Batches take Batch.Seed instead and derive one
+	// seed per trial from it.
 	Seed uint64
 	// MaxRounds bounds the run (defaults to 4n²+1000).
 	MaxRounds int64
@@ -461,7 +466,7 @@ type (
 	// round and move distributions).
 	Aggregate = engine.Aggregate
 	// BatchReducer is the bounded-memory outcome accumulator behind
-	// RunBatchStreaming — and the composition point for sharded
+	// every batch aggregate — and the composition point for sharded
 	// sweeps (see Batch.ShardCount and RunBatchReduced).
 	BatchReducer = engine.Reducer
 	// TrialSpan is a half-open global trial-index range [Lo, Hi): a
@@ -475,26 +480,8 @@ type (
 // MergeBatchReducers combines per-shard (or per-worker) reducers;
 // the merge is order- and partition-insensitive, and shard spans
 // coalesce. Merging every shard of a batch and aggregating yields
-// byte-identical JSON to the unsharded streaming run.
+// byte-identical JSON to the unsharded RunBatch.
 var MergeBatchReducers = engine.Merge
-
-// RunBatchReduced is RunBatchStreaming stopping one step earlier: it
-// returns the batch's merged reducer instead of the final aggregate,
-// so shards run in separate processes can be combined with
-// MergeBatchReducers before calling Aggregate.
-func RunBatchReduced(b Batch) (*BatchReducer, error) {
-	return engine.RunReduced(context.Background(), b)
-}
-
-// RunBatchReducedContext is RunBatchReduced under a context:
-// cancelling ctx stops the run at the next chunk boundary — no trial
-// is ever torn mid-flight, no goroutine outlives the call — and
-// returns the reducer state completed so far together with
-// ctx.Err(). The partial reducer's Spans say exactly which global
-// trials it covers, so it can be checkpointed and resumed.
-func RunBatchReducedContext(ctx context.Context, b Batch) (*BatchReducer, error) {
-	return engine.RunReduced(ctx, b)
-}
 
 // DefaultLaneWidth is the widest lockstep lane Batch.LaneWidth = 0
 // selects: how many trials each worker keeps resident at once on the
@@ -509,39 +496,29 @@ const DefaultLaneWidth = engine.DefaultLaneWidth
 func AutoLaneWidth(n int) int { return engine.AutoLaneWidth(n) }
 
 // RunBatch fans the batch's trials across a worker pool and returns
-// the streamed aggregate. Each trial's seed derives from
-// (Batch.Seed, trial index), so the result is bit-identical for any
-// Workers setting.
-func RunBatch(b Batch) (*Aggregate, error) { return engine.Run(context.Background(), b) }
-
-// RunBatchContext is RunBatch under a context; a cancelled run
-// returns (nil, ctx.Err()). Callers that want the partial state of a
-// cancelled run use RunBatchReducedContext.
-func RunBatchContext(ctx context.Context, b Batch) (*Aggregate, error) {
+// the aggregate. Each trial's seed derives from (Batch.Seed, trial
+// index), and every aggregate comes from the same exact-multiset
+// reducer, so the result is bit-identical for any Workers or
+// LaneWidth setting. Engine-owned memory scales with the number of
+// distinct observed values, not the trial count, so 10M-trial
+// batches are fine. Cancelling ctx stops the run at the next chunk
+// boundary and returns (nil, ctx.Err()); callers that want the
+// partial state use RunBatchReduced.
+func RunBatch(ctx context.Context, b Batch) (*Aggregate, error) {
 	return engine.Run(ctx, b)
 }
 
-// RunBatchOutcomes is RunBatch returning the per-trial outcomes in
-// trial order instead of the aggregate.
-func RunBatchOutcomes(b Batch) ([]BatchOutcome, error) {
-	return engine.RunOutcomes(context.Background(), b)
-}
-
-// RunBatchStreaming is RunBatch with bounded-memory aggregation:
-// outcomes stream into per-worker reducers as trials finish, so
-// engine-owned memory scales with the number of distinct observed
-// values, not the trial count — the entry point for 10M-trial
-// batches. Results are deterministic at any Workers/LaneWidth
-// setting; the means may differ from RunBatch by a few ULPs (exact
-// multiset mean vs trial-ordered Welford — see engine.RunStreaming).
-func RunBatchStreaming(b Batch) (*Aggregate, error) {
-	return engine.RunStreaming(context.Background(), b)
-}
-
-// RunBatchStreamingContext is RunBatchStreaming under a context; a
-// cancelled run returns (nil, ctx.Err()).
-func RunBatchStreamingContext(ctx context.Context, b Batch) (*Aggregate, error) {
-	return engine.RunStreaming(ctx, b)
+// RunBatchReduced is RunBatch stopping one step earlier: it returns
+// the batch's merged reducer instead of the final aggregate, so
+// shards run in separate processes can be combined with
+// MergeBatchReducers before calling Aggregate. Cancelling ctx stops
+// the run at the next chunk boundary — no trial is ever torn
+// mid-flight, no goroutine outlives the call — and returns the
+// reducer state completed so far together with ctx.Err(). The
+// partial reducer's Spans say exactly which global trials it covers,
+// so it can be checkpointed and resumed.
+func RunBatchReduced(ctx context.Context, b Batch) (*BatchReducer, error) {
+	return engine.RunReduced(ctx, b)
 }
 
 // Fault-tolerance surface, re-exported from the engine: crash-safe
@@ -566,7 +543,7 @@ func ParseFaultPlan(spec string, seed uint64) (*FaultPlan, error) {
 	return engine.ParseFaultPlan(spec, seed)
 }
 
-// RunBatchCheckpointed executes the batch like RunBatchReducedContext
+// RunBatchCheckpointed executes the batch like RunBatchReduced
 // while journalling progress to ck.Path every ck.Every trials (and
 // once on return), resuming from an earlier journal's reducer if one
 // is given: only the trials outside resume's covered spans run, and

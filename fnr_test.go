@@ -1,6 +1,7 @@
 package fnr
 
 import (
+	"encoding/json"
 	"math/rand/v2"
 	"testing"
 )
@@ -145,26 +146,72 @@ func TestRunBatchFacade(t *testing.T) {
 		Algorithm: "whiteboard", Delta: g.MinDegree(),
 		Trials: 12, Seed: 4, Workers: 4,
 	}
-	agg, err := RunBatch(batch)
+	agg, err := RunBatch(t.Context(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if agg.Trials != 12 || agg.Met == 0 {
 		t.Fatalf("aggregate %+v", agg)
 	}
-	outcomes, err := RunBatchOutcomes(batch)
+	r, err := RunBatchReduced(t.Context(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outcomes) != 12 {
-		t.Fatalf("got %d outcomes", len(outcomes))
+	if !r.Aggregate(batch).Equal(agg) {
+		t.Fatalf("RunBatchReduced aggregate %+v differs from RunBatch %+v", r.Aggregate(batch), agg)
 	}
 	// The batch surface must reject capability mismatches.
 	bad := batch
 	bad.Algorithm = "noboard"
 	bad.Delta = 0
-	if _, err := RunBatch(bad); err == nil {
+	if _, err := RunBatch(t.Context(), bad); err == nil {
 		t.Error("noboard batch without Delta accepted")
+	}
+
+	// On the reference workload (planted n=1024, d=181, seed 7; 200
+	// whiteboard trials with Delta = MinDegree), the three ways to get
+	// an aggregate — RunBatch, RunBatchReduced + Aggregate, and RunJob
+	// on the equivalent spec — must marshal to byte-identical JSON,
+	// means included: one reducer produces all three.
+	spec := JobSpec{
+		Algorithm: "whiteboard",
+		Workload:  &JobWorkload{Kind: "planted", N: 1024, D: 181, Seed: 7},
+		Trials:    200,
+		Seed:      7,
+	}
+	m, err := MaterializeWorkload(*spec.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := Batch{
+		Graph: m.Graph, StartA: m.StartA, StartB: m.StartB,
+		Algorithm: "whiteboard", Delta: m.Graph.MinDegree(),
+		Trials: 200, Seed: 7,
+	}
+	marshal := func(agg *Aggregate) string {
+		t.Helper()
+		blob, err := json.Marshal(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
+	if agg, err = RunBatch(t.Context(), ref); err != nil {
+		t.Fatal(err)
+	}
+	want := marshal(agg)
+	if r, err = RunBatchReduced(t.Context(), ref); err != nil {
+		t.Fatal(err)
+	}
+	if got := marshal(r.Aggregate(ref)); got != want {
+		t.Errorf("RunBatchReduced aggregate differs from RunBatch:\n%s\n%s", got, want)
+	}
+	res, err := RunJob(t.Context(), spec, JobExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := marshal(res.Aggregate()); got != want {
+		t.Errorf("RunJob aggregate differs from RunBatch:\n%s\n%s", got, want)
 	}
 }
 

@@ -112,9 +112,6 @@ func TestPreCancelledContext(t *testing.T) {
 	if agg, err := Run(ctx, b); agg != nil || !errors.Is(err, context.Canceled) {
 		t.Errorf("Run: (%v, %v), want (nil, context.Canceled)", agg, err)
 	}
-	if agg, err := RunStreaming(ctx, b); agg != nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("RunStreaming: (%v, %v), want (nil, context.Canceled)", agg, err)
-	}
 }
 
 // Cancellation must not leak worker goroutines: every worker exits

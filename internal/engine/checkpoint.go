@@ -393,7 +393,7 @@ func ReadCheckpoint(rd io.Reader, b Batch) (*Reducer, error) {
 	r.met = cr.count()
 	r.errors = cr.count()
 	for _, d := range []*distCounter{&r.rounds, &r.moves} {
-		k := cr.count()
+		k := cr.entries()
 		d.vals = make([]int64, 0, min(k, 1<<16))
 		d.counts = make([]int64, 0, min(k, 1<<16))
 		prev := int64(-1)
@@ -408,12 +408,12 @@ func ReadCheckpoint(rd io.Reader, b Batch) (*Reducer, error) {
 			d.n += c
 		}
 	}
-	k := cr.count()
+	k := cr.entries()
 	for range k {
 		trial := cr.count()
 		r.errs.note(trial, cr.str())
 	}
-	k = cr.count()
+	k = cr.entries()
 	for range k {
 		lo, hi := cr.count(), cr.count()
 		r.AddSpan(lo, hi)
@@ -590,6 +590,18 @@ func (cr *ckptReader) count() int {
 		return 0
 	}
 	return int(x)
+}
+
+// entries decodes a table length. Every entry takes at least one
+// payload byte, so a length beyond the unread payload is corrupt —
+// rejected here, before a decode loop spins that many times.
+func (cr *ckptReader) entries() int {
+	k := cr.count()
+	if cr.err == nil && k > len(cr.payload)-cr.pos {
+		cr.err = errors.New("table length exceeds payload")
+		return 0
+	}
+	return k
 }
 
 func (cr *ckptReader) str() string {

@@ -2,10 +2,15 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fnr/internal/graph"
 )
 
 // checkpointBatch is the standard batch of the checkpoint tests:
@@ -243,4 +248,133 @@ func TestRunCheckpointedResumeMatchesUninterrupted(t *testing.T) {
 	} else if blob, _ := json.Marshal(rerun.Aggregate(b)); string(blob) != string(wantAgg) {
 		t.Errorf("no-op resume changed the aggregate:\ngot:  %s\nwant: %s", blob, wantAgg)
 	}
+}
+
+// FuzzCheckpoint feeds mutated journals to ReadCheckpoint for one
+// fixed batch. The corpus starts from valid WriteCheckpoint journals.
+// Each input is read twice: as given, which exercises the framing and
+// CRC checks, and resealed — every frame CRC and the trailer CRC
+// recomputed — so payload mutations reach the decoder behind them.
+// The reader must never panic or hang, must never accept a stream
+// whose frame or trailer CRC fails, and every reducer it accepts must
+// re-encode and decode to the same Aggregate.
+func FuzzCheckpoint(f *testing.F) {
+	g, err := graph.Complete(12)
+	if err != nil {
+		f.Fatal(err)
+	}
+	b := Batch{
+		Graph: g, StartA: 0, StartB: 1,
+		Algorithm: "sweep", Trials: 40, Seed: 17,
+		Faults: &FaultPlan{Seed: 9, PPanic: 0.1},
+	}
+	full := NewReducer()
+	for i := range 30 {
+		o := Outcome{Met: i%3 != 0, Rounds: int64(i % 7), Moves: int64(2 * i)}
+		if i%11 == 4 {
+			o = Outcome{Err: true, Msg: fmt.Sprintf("fault %d", i%2)}
+		}
+		full.Add(i, o)
+	}
+	full.AddSpan(0, 20)
+	full.AddSpan(30, 40)
+	for _, r := range []*Reducer{full, NewReducer()} {
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, b, r); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	// A sealed journal whose rounds table claims 2⁶² entries: the
+	// empty reducer's payload ends in seven zero lengths (trials, met,
+	// errors, rounds, moves, error log, spans); swap in the huge one.
+	var empty bytes.Buffer
+	if err := WriteCheckpoint(&empty, b, NewReducer()); err != nil {
+		f.Fatal(err)
+	}
+	wire := empty.Bytes()
+	plen, k := binary.Uvarint(wire[len(ckptMagic):])
+	payload := wire[len(ckptMagic)+k:][:plen]
+	huge := binary.AppendUvarint(bytes.Clone(payload[:len(payload)-4]), 1<<62)
+	var sealed bytes.Buffer
+	cw := &ckptWriter{w: &sealed, crc: crc32.New(ckptCRC)}
+	cw.wire([]byte(ckptMagic))
+	cw.buf = append(append(cw.buf, huge...), payload[len(payload)-3:]...)
+	if err := cw.end(); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ReadCheckpoint(bytes.NewReader(sealed.Bytes()), b); err == nil ||
+		!strings.Contains(err.Error(), "table length exceeds payload") {
+		f.Fatalf("oversized table length: err = %v", err)
+	}
+	f.Add(sealed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		intact, resealed := resealJournal(data)
+		checkJournal(t, b, data, intact)
+		if resealed != nil {
+			checkJournal(t, b, resealed, true)
+		}
+	})
+}
+
+// checkJournal reads data as a journal of b and checks the fuzz
+// invariants: a stream with a failing CRC (intact false) is rejected,
+// and an accepted reducer survives a second write/read unchanged.
+func checkJournal(t *testing.T, b Batch, data []byte, intact bool) {
+	t.Helper()
+	r, err := ReadCheckpoint(bytes.NewReader(data), b)
+	if err != nil {
+		return
+	}
+	if !intact {
+		t.Fatalf("accepted a journal whose frame or trailer CRC fails: %x", data)
+	}
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, b, r); err != nil {
+		t.Fatalf("re-encoding an accepted reducer: %v", err)
+	}
+	again, err := ReadCheckpoint(&buf, b)
+	if err != nil {
+		t.Fatalf("re-encoded journal rejected: %v", err)
+	}
+	if want, got := r.Aggregate(b), again.Aggregate(b); !got.Equal(want) {
+		t.Fatalf("aggregate changed across a re-encode:\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
+// resealJournal walks data's wire framing (see checkpoint.go)
+// independently of the reader. intact reports whether every frame CRC
+// and the trailer CRC check out. resealed is a copy with every CRC
+// recomputed, or nil when the framing itself does not parse.
+func resealJournal(data []byte) (intact bool, resealed []byte) {
+	if len(data) < len(ckptMagic) {
+		return false, nil
+	}
+	out := bytes.Clone(data)
+	intact = true
+	pos := len(ckptMagic)
+	for {
+		plen, k := binary.Uvarint(data[pos:])
+		if k <= 0 {
+			return false, nil
+		}
+		pos += k
+		if plen == 0 {
+			break
+		}
+		if len(data)-pos < 4 || plen > uint64(len(data)-pos-4) {
+			return false, nil
+		}
+		end := pos + int(plen)
+		sum := crc32.Checksum(data[pos:end], ckptCRC)
+		intact = intact && binary.LittleEndian.Uint32(data[end:]) == sum
+		binary.LittleEndian.PutUint32(out[end:], sum)
+		pos = end + 4
+	}
+	if len(data)-pos < 4 {
+		return false, nil
+	}
+	intact = intact && binary.LittleEndian.Uint32(data[pos:]) == crc32.Checksum(data[:pos], ckptCRC)
+	binary.LittleEndian.PutUint32(out[pos:], crc32.Checksum(out[:pos], ckptCRC))
+	return intact, out
 }

@@ -68,11 +68,11 @@ func TestStepperAndProgramPathsAreIdentical(t *testing.T) {
 					}
 				}
 
-				fastAgg, err := json.Marshal(AggregateOutcomes(fast, fastOut))
+				fastAgg, err := json.Marshal(aggregateOf(fast, fastOut))
 				if err != nil {
 					t.Fatal(err)
 				}
-				slowAgg, err := json.Marshal(AggregateOutcomes(slow, slowOut))
+				slowAgg, err := json.Marshal(aggregateOf(slow, slowOut))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,7 +123,7 @@ func TestPaperSteppersIdenticalAcrossWorkersAndPaths(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s force=%v workers=%d: %v", name, force, workers, err)
 				}
-				agg, err := json.Marshal(AggregateOutcomes(b, out))
+				agg, err := json.Marshal(aggregateOf(b, out))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,7 +197,7 @@ func TestLaneWidthAndWorkersDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s reference: %v", name, err)
 		}
-		refAgg, err := json.Marshal(AggregateOutcomes(ref, refOut))
+		refAgg, err := json.Marshal(aggregateOf(ref, refOut))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestLaneWidthAndWorkersDeterministic(t *testing.T) {
 							name, workers, width, i, out[i], refOut[i])
 					}
 				}
-				agg, err := json.Marshal(AggregateOutcomes(b, out))
+				agg, err := json.Marshal(aggregateOf(b, out))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -231,11 +231,10 @@ func TestLaneWidthAndWorkersDeterministic(t *testing.T) {
 
 // Batches of a few trials split across every worker (see
 // chunkedWorkers), so their per-worker parts merge at sizes a fixed
-// 64-trial claim never produced. Within each entry point — Run, the
-// streaming reducer, and the checkpoint journal — the aggregate JSON
-// must be byte-identical at 1, 2 and 3 workers. Entry points are
-// compared only with themselves: the outcome slice's Welford mean and
-// the reducer's multiset mean may differ by a few ULPs.
+// 64-trial claim never produced. Across the entry points — Run,
+// RunReduced, and the checkpoint journal — and 1, 2 and 3 workers,
+// the aggregate JSON must be byte-identical, means included: every
+// entry point aggregates through the same Reducer.
 func TestSmallBatchesIdenticalAcrossWorkers(t *testing.T) {
 	g, sa, sb := testGraph(t)
 	entries := []struct {
@@ -261,9 +260,9 @@ func TestSmallBatchesIdenticalAcrossWorkers(t *testing.T) {
 	}
 	for _, name := range []string{"whiteboard", "noboard", "sweep"} {
 		for _, trials := range []int{1, 3, 4, 10, 65} {
+			var ref []byte
 			for _, e := range entries {
 				t.Run(fmt.Sprintf("%s/%d/%s", name, trials, e.name), func(t *testing.T) {
-					var ref []byte
 					for _, workers := range []int{1, 2, 3} {
 						agg, err := e.run(Batch{
 							Graph: g, StartA: sa, StartB: sb,
@@ -281,7 +280,7 @@ func TestSmallBatchesIdenticalAcrossWorkers(t *testing.T) {
 						if ref == nil {
 							ref = blob
 						} else if string(blob) != string(ref) {
-							t.Errorf("workers=%d: aggregate differs from 1 worker:\n%s\nreference: %s", workers, blob, ref)
+							t.Errorf("workers=%d: aggregate differs from the first run:\n%s\nreference: %s", workers, blob, ref)
 						}
 					}
 				})

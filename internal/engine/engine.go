@@ -2,10 +2,11 @@
 // independent rendezvous trials across a worker pool and streams the
 // per-trial results into compact aggregates (success rate, round and
 // move distributions). Each trial's PCG seed is derived from the
-// batch seed and the trial index alone, and aggregation runs over the
-// trial-indexed outcome slice in index order, so a batch's Aggregate
-// is bit-identical whether it ran on 1 worker or on GOMAXPROCS — the
-// worker count changes wall-clock time only.
+// batch seed and the trial index alone, and every Aggregate comes
+// from a Reducer, an exact multiset whose merge is order- and
+// partition-insensitive, so a batch's Aggregate is bit-identical
+// whether it ran on 1 worker or on GOMAXPROCS — the worker count
+// changes wall-clock time only.
 //
 // The engine resolves strategies by name through the algo registry;
 // anything registered there (the paper's algorithms, the baselines,
@@ -28,7 +29,6 @@ import (
 	"fnr/internal/core"
 	"fnr/internal/graph"
 	"fnr/internal/sim"
-	"fnr/internal/stats"
 )
 
 // Batch describes one batch of independent trials: the same instance
@@ -143,9 +143,6 @@ func (b Batch) shardSpan() (lo, hi int) {
 	return b.Trials * b.ShardIndex / b.ShardCount, b.Trials * (b.ShardIndex + 1) / b.ShardCount
 }
 
-// sharded reports whether the batch covers only a shard of its trials.
-func (b Batch) sharded() bool { return b.ShardCount > 1 }
-
 // DefaultLaneWidth is the widest automatic lockstep lane: wide enough
 // to amortize per-sweep overhead and stepper builds across resident
 // trials. AutoLaneWidth narrows it on large graphs.
@@ -209,25 +206,6 @@ type Dist struct {
 	P95    float64 `json:"p95"`
 	Min    float64 `json:"min"`
 	Max    float64 `json:"max"`
-}
-
-// DistOf summarizes xs (in the given order — callers pass trial-index
-// order so the floating-point accumulation is reproducible).
-func DistOf(xs []float64) Dist {
-	if len(xs) == 0 {
-		return Dist{}
-	}
-	var s stats.Summary
-	for _, x := range xs {
-		s.Add(x)
-	}
-	return Dist{
-		Mean:   s.Mean(),
-		Median: stats.Median(xs),
-		P95:    stats.Quantile(xs, 0.95),
-		Min:    s.Min(),
-		Max:    s.Max(),
-	}
 }
 
 // Aggregate is a batch's streamed summary. It deliberately excludes
@@ -391,7 +369,7 @@ const claimChunk = 64
 // `workers` goroutines (≤ 0 = GOMAXPROCS) that claim chunks from a
 // shared cursor, calling run(scratch, from, to) for each claimed
 // chunk, and returns every worker's scratch once all work is done
-// (the streaming reducers merge them). Chunk claiming partitions
+// (the reducer path merges them). Chunk claiming partitions
 // [0, n) exactly — every index is processed once — and which worker
 // claims which chunk must never affect results.
 //
@@ -461,8 +439,9 @@ func chunkedWorkers[S any](ctx context.Context, workers, n int, newScratch func(
 }
 
 // RunOutcomes executes the batch and returns the per-trial outcomes
-// in trial order — the lower-level entry point for callers (the
-// experiment harness) that need more than the standard aggregate.
+// in trial order — the outcome-collecting lane sink, for callers (the
+// experiment harness) whose statistics go beyond the standard
+// Aggregate, which only Run and the reducer path produce.
 // The trials run on the lockstep lane (see runLanes), in the
 // strategy's native stepper form or, under ForceProgramPath or for a
 // spec without steppers, its Program form; both forms produce
@@ -556,50 +535,15 @@ func (b Batch) useSteppers(spec algo.Spec) bool {
 	return spec.BuildSteppers != nil && !b.ForceProgramPath
 }
 
-// Run executes the batch and streams the outcomes into an Aggregate.
-// Cancelling ctx returns (nil, ctx.Err()); see RunOutcomes.
+// Run executes the batch and returns its aggregate: RunReduced, then
+// Reducer.Aggregate. Cancelling ctx returns (nil, ctx.Err()); callers
+// that want the partial state use RunReduced.
 func Run(ctx context.Context, b Batch) (*Aggregate, error) {
-	outcomes, err := RunOutcomes(ctx, b)
+	r, err := RunReduced(ctx, b)
 	if err != nil {
 		return nil, err
 	}
-	return AggregateOutcomes(b, outcomes), nil
-}
-
-// AggregateOutcomes reduces trial-ordered outcomes to the batch
-// summary. For a sharded batch the summary covers the shard's trials
-// only and says so in TrialSpans.
-func AggregateOutcomes(b Batch, outcomes []Outcome) *Aggregate {
-	b = b.normalized()
-	agg := &Aggregate{Algorithm: b.Algorithm, Trials: len(outcomes), Seed: b.Seed, Scenario: b.scenarioInfo()}
-	if b.sharded() {
-		lo, hi := b.shardSpan()
-		agg.TrialSpans = []TrialSpan{{Lo: lo, Hi: hi}}
-	}
-	lo, _ := b.shardSpan()
-	var el errLog
-	metRounds := make([]float64, 0, len(outcomes))
-	moves := make([]float64, 0, len(outcomes))
-	for i, o := range outcomes {
-		if o.Met {
-			agg.Met++
-			metRounds = append(metRounds, float64(o.Rounds))
-		}
-		if o.Err {
-			agg.Errors++
-			el.note(lo+i, o.Msg)
-			continue
-		}
-		moves = append(moves, float64(o.Moves))
-	}
-	agg.FirstErrors = el.list()
-	agg.Failures = agg.Trials - agg.Met
-	if agg.Trials > 0 {
-		agg.SuccessRate = float64(agg.Met) / float64(agg.Trials)
-	}
-	agg.Rounds = DistOf(metRounds)
-	agg.Moves = DistOf(moves)
-	return agg
+	return r.Aggregate(b), nil
 }
 
 // prepare validates the batch and resolves its strategy, including a

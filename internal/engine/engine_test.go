@@ -27,6 +27,20 @@ func testGraph(t *testing.T) (*graph.Graph, graph.Vertex, graph.Vertex) {
 	return g, sa, g.Adj(sa)[0]
 }
 
+// aggregateOf folds b's trial-ordered outcomes (its shard's trials,
+// when sharded) through a Reducer — Add at each global trial index,
+// then AddSpan over the covered range — and aggregates: how a test
+// holding an outcome slice reaches the one Aggregate producer.
+func aggregateOf(b Batch, outcomes []Outcome) *Aggregate {
+	lo, _ := b.shardSpan()
+	r := NewReducer()
+	for i, o := range outcomes {
+		r.Add(lo+i, o)
+	}
+	r.AddSpan(lo, lo+len(outcomes))
+	return r.Aggregate(b)
+}
+
 // The tentpole guarantee: the same batch seed produces byte-identical
 // JSON aggregates at 1 worker and at many workers.
 func TestDeterminismAcrossWorkers(t *testing.T) {
@@ -226,16 +240,6 @@ func TestTrialsOrdering(t *testing.T) {
 	}
 	if Trials(4, 0, func(int) int { return 0 }) != nil {
 		t.Fatal("empty Trials should return nil")
-	}
-}
-
-func TestDistOf(t *testing.T) {
-	if d := DistOf(nil); d != (Dist{}) {
-		t.Fatalf("empty dist = %+v", d)
-	}
-	d := DistOf([]float64{1, 2, 3, 4})
-	if d.Mean != 2.5 || d.Median != 2.5 || d.Min != 1 || d.Max != 4 {
-		t.Fatalf("dist = %+v", d)
 	}
 }
 

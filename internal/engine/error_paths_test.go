@@ -159,11 +159,11 @@ func TestBuilderErrorMidBatchLeavesWorkerContextClean(t *testing.T) {
 					name, i, cleanOut[i], dirtyOut[i])
 			}
 		}
-		cleanAgg, err := json.Marshal(AggregateOutcomes(base, cleanOut))
+		cleanAgg, err := json.Marshal(aggregateOf(base, cleanOut))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dirtyAgg, err := json.Marshal(AggregateOutcomes(base, dirtyOut))
+		dirtyAgg, err := json.Marshal(aggregateOf(base, dirtyOut))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,8 +244,8 @@ func TestPanicMidBatchQuarantinesWorkerContext(t *testing.T) {
 					name, i, cleanOut[i], dirtyOut[i])
 			}
 		}
-		cleanAgg, _ := json.Marshal(AggregateOutcomes(base, cleanOut))
-		dirtyAgg, _ := json.Marshal(AggregateOutcomes(base, dirtyOut))
+		cleanAgg, _ := json.Marshal(aggregateOf(base, cleanOut))
+		dirtyAgg, _ := json.Marshal(aggregateOf(base, dirtyOut))
 		if string(cleanAgg) != string(dirtyAgg) {
 			t.Errorf("%s: aggregate JSON diverged after a panic-then-retry batch:\nclean: %s\ndirty: %s",
 				name, cleanAgg, dirtyAgg)

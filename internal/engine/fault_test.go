@@ -143,7 +143,7 @@ func TestFaultDifferentialAcrossPathsAndShards(t *testing.T) {
 				b := base
 				b.Workers = workers
 				b.LaneWidth = width
-				agg, err := RunStreaming(t.Context(), b)
+				agg, err := Run(t.Context(), b)
 				if err != nil {
 					t.Fatalf("%s workers=%d width=%d: %v", name, workers, width, err)
 				}
@@ -199,7 +199,7 @@ func TestFaultFirstErrorsNameTheirTrials(t *testing.T) {
 		Trials: 400, Seed: 11, MaxRounds: 1 << 22,
 		Faults: &FaultPlan{Seed: 5, PPanic: 0.03, PBuildErr: 0.03},
 	}
-	agg, err := RunStreaming(t.Context(), b)
+	agg, err := Run(t.Context(), b)
 	if err != nil {
 		t.Fatal(err)
 	}

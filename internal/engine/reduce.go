@@ -10,28 +10,23 @@ import (
 	"fnr/internal/algo"
 )
 
-// This file is the bounded-memory aggregation path: per-worker
-// Reducer state absorbs outcomes as trials finish, Merge combines the
-// workers' parts, and the merged reducer emits the same Aggregate
-// shape Run produces — without ever materializing an O(trials)
-// outcome slice. Memory is O(distinct observed values), which for
-// round/move counts is tiny compared to the trial count of the
-// 10M-trial sweeps this exists for (a batch drawing a million
-// distinct move totals would still hold two 16 MB tables, not a
-// 320 MB outcome slice).
+// This file is the engine's one aggregation path: per-worker Reducer
+// state absorbs outcomes as trials finish, Merge combines the
+// workers' parts, and the merged reducer emits the batch's Aggregate
+// — without ever materializing an O(trials) outcome slice. Memory is
+// O(distinct observed values), which for round/move counts is tiny
+// compared to the trial count of the 10M-trial sweeps this exists
+// for (a batch drawing a million distinct move totals would still
+// hold two 16 MB tables, not a 320 MB outcome slice).
 //
 // Determinism: a reducer is a multiset (sorted value → count
 // tables), so Merge is order- and partition-insensitive — any worker
-// count, lane width or chunk assignment merges to the same state,
-// byte for byte. Median/P95/Min/Max reproduce stats.Quantile's
-// arithmetic exactly (same interpolation on the same sorted values),
-// so they are bit-identical to AggregateOutcomes. Mean is the one
-// deliberate divergence: AggregateOutcomes streams Welford in trial
-// order (order-sensitive rounding), while the reducer computes the
-// multiset mean Σ value·count / n — deterministic and
-// partition-independent, but up to a few ULPs from the Welford
-// result. Values fit float64 exactly (round/move counts are bounded
-// by 4n²+1000 « 2⁵³).
+// count, lane width, chunk assignment or shard split merges to the
+// same state, byte for byte. Median/P95 reproduce stats.Quantile's
+// arithmetic on the expanded sample exactly (same interpolation on
+// the same sorted values), and Mean is the exact multiset mean
+// Σ value·count / n. Values fit float64 exactly (round/move counts
+// are bounded by 4n²+1000 « 2⁵³).
 
 // TrialSpan is a half-open range [Lo, Hi) of global trial indices — a
 // sharded batch's coverage metadata (see Batch.ShardCount).
@@ -53,9 +48,8 @@ type Reducer struct {
 // path wants).
 func NewReducer() *Reducer { return &Reducer{} }
 
-// Add absorbs one trial's outcome, mirroring AggregateOutcomes'
-// per-outcome bookkeeping: meeting rounds over met trials, move
-// totals over non-erroring trials, error detail by global trial
+// Add absorbs one trial's outcome: meeting rounds over met trials,
+// move totals over non-erroring trials, error detail by global trial
 // index (which is what keeps FirstErrors scheduling-independent).
 func (r *Reducer) Add(trial int, o Outcome) {
 	r.trials++
@@ -157,8 +151,7 @@ func (r *Reducer) mergeFrom(p *Reducer) {
 }
 
 // Aggregate emits the batch summary from the reduced state — the
-// same shape (and, Mean's rounding aside, the same bytes) as
-// Run/AggregateOutcomes.
+// only producer of an Aggregate.
 func (r *Reducer) Aggregate(b Batch) *Aggregate {
 	b = b.normalized()
 	agg := &Aggregate{
@@ -188,30 +181,12 @@ func (r *Reducer) Aggregate(b Batch) *Aggregate {
 	return agg
 }
 
-// RunStreaming executes the batch like Run but aggregates through
-// per-worker reducers: engine-owned memory is bounded by the number
-// of distinct observed values instead of the trial count, which is
-// what makes 10M-trial batches practical. Results are deterministic
-// at any worker count, lane width and strategy form; see the file
-// comment for the one documented Mean-rounding divergence from Run.
-// Cancelling ctx returns (nil, ctx.Err()); callers that want the
-// partial state use RunReduced.
-func RunStreaming(ctx context.Context, b Batch) (*Aggregate, error) {
-	r, err := RunReduced(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-	return r.Aggregate(b), nil
-}
-
-// RunReduced is RunStreaming stopping one step earlier: it returns
-// the batch's merged reducer instead of the final aggregate. This is
-// the composition point for sharded sweeps — run each shard (same
-// Batch, different ShardIndex) in its own process, Merge the
-// reducers, and Aggregate the merge; the result is byte-identical to
-// the unsharded streaming run, mean included (the multiset mean is
-// partition-independent). A reducer carries its trial coverage in
-// Spans.
+// RunReduced is Run stopping one step earlier: it returns the
+// batch's merged reducer instead of the final aggregate. This is the
+// composition point for sharded sweeps — run each shard (same Batch,
+// different ShardIndex) in its own process, Merge the reducers, and
+// Aggregate the merge; the result is byte-identical to the unsharded
+// run. A reducer carries its trial coverage in Spans.
 //
 // Cancelling ctx stops the run at the next chunk boundary and
 // returns the reducer state completed so far TOGETHER WITH ctx.Err():
@@ -301,10 +276,9 @@ func (d *distCounter) merge(o *distCounter) {
 	}
 }
 
-// dist summarizes the multiset exactly as DistOf summarizes the
-// expanded sample — bit-identical for Median/P95/Min/Max (same
-// quantile arithmetic on the same sorted values); Mean is the exact
-// multiset mean (see the file comment).
+// dist summarizes the multiset: Median/P95 bit-identical to
+// stats.Quantile on the expanded sample, Mean the exact multiset
+// mean (see the file comment).
 func (d *distCounter) dist() Dist {
 	if d.n == 0 {
 		return Dist{}

@@ -179,13 +179,14 @@ func TestAggregateScenarioEcho(t *testing.T) {
 	if !agg.Scenario.Equal(want) {
 		t.Errorf("scenario echo = %+v, want %+v", agg.Scenario, want)
 	}
-	// The streaming path echoes identically.
-	streamed, err := RunStreaming(context.Background(), k3)
+	// The outcome-collecting sink, folded through a reducer, echoes
+	// identically.
+	out, err := RunOutcomes(context.Background(), k3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !streamed.Equal(agg) {
-		t.Errorf("streaming aggregate diverged from Run on a scenario batch:\nrun:    %+v\nstream: %+v", agg, streamed)
+	if viaOutcomes := aggregateOf(k3, out); !viaOutcomes.Equal(agg) {
+		t.Errorf("folded outcomes diverged from Run on a scenario batch:\nrun:    %+v\nfolded: %+v", agg, viaOutcomes)
 	}
 }
 
@@ -223,7 +224,7 @@ func TestCheckpointScenarioIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunStreaming(context.Background(), scen)
+	direct, err := Run(context.Background(), scen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestScenarioCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunStreaming(context.Background(), b)
+	direct, err := Run(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}

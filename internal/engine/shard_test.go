@@ -37,9 +37,15 @@ func TestShardedOutcomesConcatenateToUnsharded(t *testing.T) {
 			if len(out) != hi-lo {
 				t.Fatalf("shard %d/%d: %d outcomes for range [%d,%d)", i, k, len(out), lo, hi)
 			}
-			agg := AggregateOutcomes(b, out)
+			agg, err := Run(t.Context(), b)
+			if err != nil {
+				t.Fatalf("shard %d/%d: %v", i, k, err)
+			}
 			if !slices.Equal(agg.TrialSpans, []TrialSpan{{Lo: lo, Hi: hi}}) {
 				t.Fatalf("shard %d/%d: aggregate spans %v", i, k, agg.TrialSpans)
+			}
+			if folded := aggregateOf(b, out); !folded.Equal(agg) {
+				t.Fatalf("shard %d/%d: folded outcomes %+v differ from Run %+v", i, k, folded, agg)
 			}
 			got = append(got, out...)
 		}
@@ -56,7 +62,7 @@ func TestShardedReducersMergeToUnshardedAggregate(t *testing.T) {
 		Algorithm: "sweep", Delta: g.MinDegree(),
 		Trials: 30, Seed: 5, MaxRounds: 1 << 22,
 	}
-	want, err := RunStreaming(t.Context(), base)
+	want, err := Run(t.Context(), base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func inProcessAggregate(t *testing.T, spec job.Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := fnr.RunBatchReduced(b)
+	r, err := fnr.RunBatchReduced(t.Context(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
